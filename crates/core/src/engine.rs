@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use eco_aig::{Aig, Lit, Var};
 use eco_fraig::{fraig_classes_memo, fraig_classes_stats, fraig_reduce, FraigOptions, SweepMemo};
@@ -30,13 +30,12 @@ use crate::optimize::{optimize_patches_governed, total_cost, OptimizeOptions};
 use crate::patchgen::{
     extract_patch_aig, generate_group_patches_governed, GroupPatches, PatchFn, PatchGenOptions,
 };
-use crate::rectifiable::{check_rect_cex_portfolio, check_rectifiable_portfolio, Rectifiability};
+use crate::rectifiable::{check_rect_cex, check_rectifiable, Rectifiability};
 use crate::sizeopt::{reduce_patch_sizes_governed, SizeOptOptions};
 use crate::synth::InitialPatchKind;
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
-use crate::verify::{check_equivalence_portfolio, VerifyOutcome};
+use crate::verify::{check_equivalence_ctl, VerifyOutcome};
 use crate::{EcoError, EcoInstance, Workspace};
-use eco_sat::PortfolioSpec;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -71,13 +70,6 @@ pub struct EcoOptions {
     /// sequentially (same code path, so results are identical for every
     /// value). Never more threads than clusters are spawned.
     pub jobs: usize,
-    /// Deterministic parallel solver portfolio size for hard unlimited-
-    /// budget SAT queries (rectifiability CEGAR, equivalence miters):
-    /// `1` (default) keeps the single-solver path; `2..=4` race that many
-    /// diversified configurations, first answer wins, with artifacts
-    /// pinned to configuration 0 so results are byte-identical for every
-    /// value. Finite-budget queries are never raced.
-    pub portfolio: usize,
     /// Run-wide resource governor: wall-clock deadline and per-cluster
     /// conflict allowance. Unlimited by default; when unlimited, every
     /// governed code path collapses to the ungoverned one, so results are
@@ -107,7 +99,6 @@ impl Default for EcoOptions {
             size_optimize: true,
             size_opts: SizeOptOptions::default(),
             jobs: 0,
-            portfolio: 1,
             budget: BudgetOptions::default(),
             memo: None,
         }
@@ -124,35 +115,6 @@ impl EcoOptions {
             optimize: false,
             ..Default::default()
         }
-    }
-}
-
-/// Wall-clock time per flow stage (Fig. 1) — the classic five-slot view;
-/// the full picture (plus the assembly stage and aggregated solver
-/// counters) lives in [`EcoResult::telemetry`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimes {
-    /// FRAIG sweeping, summed over the per-cluster sub-workspaces. The
-    /// sweeps run *inside* the patch-generation stage (and overlap it
-    /// when `jobs > 1`), so this slot is CPU time that [`StageTimes::total`]
-    /// counts a second time.
-    pub fraig: Duration,
-    /// Clustering + localization bookkeeping.
-    pub clustering: Duration,
-    /// Initial patch generation (Alg. 1): wall time of the (possibly
-    /// parallel) per-cluster section plus the deterministic merge.
-    pub patchgen: Duration,
-    /// Cost optimization (§6).
-    pub optimize: Duration,
-    /// Final verification.
-    pub verify: Duration,
-}
-
-impl StageTimes {
-    /// Total across stages (an upper bound on flow wall time, since the
-    /// `fraig` slot overlaps `patchgen`).
-    pub fn total(&self) -> Duration {
-        self.fraig + self.clustering + self.patchgen + self.optimize + self.verify
     }
 }
 
@@ -180,8 +142,6 @@ pub struct EcoResult {
     pub cost: u64,
     /// Total patch size in AND gates (shared logic counted once).
     pub size: usize,
-    /// Stage wall-clock times of the successful attempt.
-    pub stage_times: StageTimes,
     /// `true` if the localized attempt failed verification and the engine
     /// fell back to an unlocalized run.
     pub localization_fallback: bool,
@@ -190,7 +150,8 @@ pub struct EcoResult {
     /// Cost before/after the optimization stage.
     pub optimize_delta: (u64, u64),
     /// Full run telemetry (both attempts when the fallback fired):
-    /// per-stage wall times, aggregated SAT/FRAIG counters, events.
+    /// per-stage wall times ([`TelemetrySnapshot::stage_nanos`]),
+    /// aggregated SAT/FRAIG counters, events.
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -227,8 +188,6 @@ pub struct PartialResult {
     pub size: usize,
     /// One report per target cluster, in cluster order.
     pub clusters: Vec<ClusterReport>,
-    /// Stage wall-clock times up to the point of degradation.
-    pub stage_times: StageTimes,
     /// Full run telemetry, including the governor counters.
     pub telemetry: TelemetrySnapshot,
 }
@@ -269,12 +228,11 @@ pub struct EcoEngine {
 }
 
 /// Everything one cluster's isolated rectification produced: the
-/// sub-workspace (whose manager holds the patch cones), the generated
-/// group, and the sweep time spent.
+/// sub-workspace (whose manager holds the patch cones) and the generated
+/// group.
 struct ClusterOutcome {
     sub: Workspace,
     group: GroupPatches,
-    fraig_time: Duration,
 }
 
 impl EcoEngine {
@@ -288,7 +246,7 @@ impl EcoEngine {
         &self.instance
     }
 
-    /// Runs the full flow.
+    /// Runs the full flow under the [`EcoOptions::budget`] governor.
     ///
     /// # Errors
     ///
@@ -296,10 +254,10 @@ impl EcoEngine {
     /// make the circuits equivalent (witnessed by a failed final
     /// verification of the complete, unlocalized derivation), and
     /// [`EcoError::ResourceLimit`] when verification exhausts its budget
-    /// or the [`EcoOptions::budget`] governor degrades the run (use
-    /// [`EcoEngine::run_governed`] to receive the partial result instead).
+    /// or the governor degrades the run (use [`EcoEngine::run_governed`]
+    /// to receive the partial result instead).
     pub fn run(&self) -> Result<EcoResult, EcoError> {
-        match self.run_governed()? {
+        match self.run_governed(&Budget::new(&self.options.budget))? {
             EcoOutcome::Complete(result) => Ok(result),
             EcoOutcome::Partial(partial) => Err(EcoError::ResourceLimit(format!(
                 "run degraded to a partial result: {}",
@@ -308,14 +266,21 @@ impl EcoEngine {
         }
     }
 
-    /// Runs the full flow under the [`EcoOptions::budget`] governor,
-    /// returning a graceful [`EcoOutcome::Partial`] instead of an error
-    /// when the deadline or conflict budget cuts the run short.
+    /// Runs the full flow under `budget` (usually
+    /// `Budget::new(&options.budget)`; the batch runner apportions one
+    /// run-wide governor across jobs with [`Budget::child`]), returning a
+    /// graceful [`EcoOutcome::Partial`] instead of an error when the
+    /// deadline or conflict budget cuts the run short.
     ///
     /// With an unlimited budget this behaves exactly like [`run`] (modulo
     /// the return type): the only way to see `Partial` is a panicking
     /// cluster worker, which the engine isolates and reports instead of
     /// aborting the process.
+    ///
+    /// This is also where the [`EcoOptions::memo`] whole-instance lookup
+    /// happens: a cached result is returned only after a fresh SAT miter
+    /// re-verifies it against this engine's instance; a refuted entry is
+    /// counted as a fallback and the full pipeline runs instead.
     ///
     /// [`run`]: EcoEngine::run
     ///
@@ -323,24 +288,7 @@ impl EcoEngine {
     ///
     /// As [`EcoEngine::run`], except budget-driven degradation is a
     /// successful `Partial` outcome rather than an error.
-    pub fn run_governed(&self) -> Result<EcoOutcome, EcoError> {
-        self.run_governed_with(&Budget::new(&self.options.budget))
-    }
-
-    /// Like [`EcoEngine::run_governed`], but under an externally supplied
-    /// [`Budget`] — the batch runner apportions one run-wide governor
-    /// across jobs with [`Budget::child`] and drives each job through
-    /// here.
-    ///
-    /// This is also where the [`EcoOptions::memo`] whole-instance lookup
-    /// happens: a cached result is returned only after a fresh SAT miter
-    /// re-verifies it against this engine's instance; a refuted entry is
-    /// counted as a fallback and the full pipeline runs instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`EcoEngine::run_governed`].
-    pub fn run_governed_with(&self, budget: &Budget) -> Result<EcoOutcome, EcoError> {
+    pub fn run_governed(&self, budget: &Budget) -> Result<EcoOutcome, EcoError> {
         let tel = Telemetry::new();
         let memo = self
             .options
@@ -351,9 +299,7 @@ impl EcoEngine {
         if let Some((cache, (key, check))) = memo {
             if let Some(mut cached) = cache.lookup_patch(key, check) {
                 tel.add_memo_hit();
-                let t0 = Instant::now();
                 if self.reverify_patch(&cached, budget, &tel) {
-                    cached.stage_times.verify = t0.elapsed();
                     cached.telemetry = tel.snapshot();
                     return Ok(EcoOutcome::Complete(cached));
                 }
@@ -462,12 +408,11 @@ impl EcoEngine {
         }
         let patched = mgr.substitute(&ws.f_outs.clone(), &tmap);
         let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
-        let verdict = check_equivalence_portfolio(
+        let verdict = check_equivalence_ctl(
             &mut mgr,
             &pairs,
             budget.cap(self.options.verify_budget),
             &budget.ctl(),
-            &PortfolioSpec::new(self.options.portfolio),
             tel,
         );
         tel.add_stage(Stage::Verify, t0.elapsed());
@@ -564,8 +509,7 @@ impl EcoEngine {
         } else {
             TapMap::empty()
         };
-        let fraig_time = t0.elapsed();
-        tel.add_stage(Stage::Fraig, fraig_time);
+        tel.add_stage(Stage::Fraig, t0.elapsed());
         if budget.expired() {
             return Err(ClusterDiagnosis::Deadline);
         }
@@ -575,11 +519,7 @@ impl EcoEngine {
         let group = generate_group_patches_governed(
             &mut sub, &tap, &local, pg_opts, budget, &mut meter, tel,
         )?;
-        Ok(ClusterOutcome {
-            sub,
-            group,
-            fraig_time,
-        })
+        Ok(ClusterOutcome { sub, group })
     }
 
     /// One flow attempt.
@@ -591,14 +531,10 @@ impl EcoEngine {
     ) -> Result<AttemptOutcome, EcoError> {
         let opts = &self.options;
         let governed = !budget.is_unlimited();
-        let mut times = StageTimes::default();
         let mut ws = Workspace::new(&self.instance);
 
         // Stage 2: clustering (stage 1, FRAIG, now runs per cluster below).
-        let t0 = Instant::now();
-        let clustering = cluster_targets(&ws);
-        times.clustering = t0.elapsed();
-        tel.add_stage(Stage::Clustering, times.clustering);
+        let clustering = tel.time(Stage::Clustering, || cluster_targets(&ws));
 
         if governed && budget.expired() {
             tel.event(
@@ -611,7 +547,6 @@ impl EcoEngine {
                 &clustering.clusters,
                 ClusterDiagnosis::Deadline,
                 "deadline expired before patch generation",
-                times,
                 tel,
             ));
         }
@@ -637,12 +572,11 @@ impl EcoEngine {
                         // Audit the claimed universal counterexample with
                         // one cheap B-check before declaring defeat.
                         tel.add_memo_hit();
-                        if check_rect_cex_portfolio(
+                        if check_rect_cex(
                             &mut scratch,
                             &cex,
                             budget.cap(opts.verify_budget),
                             &budget.ctl(),
-                            &PortfolioSpec::new(opts.portfolio),
                             tel,
                         ) == Some(true)
                         {
@@ -658,12 +592,11 @@ impl EcoEngine {
             let verdict = match verdict {
                 Some(v) => v,
                 None => {
-                    let v = check_rectifiable_portfolio(
+                    let v = check_rectifiable(
                         &mut scratch,
                         256,
                         budget.cap(opts.verify_budget),
                         &budget.ctl(),
-                        &PortfolioSpec::new(opts.portfolio),
                         tel,
                     );
                     if let Some((cache, (key, check))) = memo {
@@ -697,7 +630,6 @@ impl EcoEngine {
                         &clustering.clusters,
                         diag,
                         "rectifiability precheck budget exhausted",
-                        times,
                         tel,
                     ));
                 }
@@ -715,18 +647,15 @@ impl EcoEngine {
                 .iter()
                 .map(|&j| (ws.f_outs[j], ws.g_outs[j]))
                 .collect();
-            let t0 = Instant::now();
-            let verdict = check_equivalence_portfolio(
-                &mut ws.mgr,
-                &pairs,
-                budget.cap(opts.verify_budget),
-                &budget.ctl(),
-                &PortfolioSpec::new(opts.portfolio),
-                tel,
-            );
-            let spent = t0.elapsed();
-            times.verify += spent;
-            tel.add_stage(Stage::Verify, spent);
+            let verdict = tel.time(Stage::Verify, || {
+                check_equivalence_ctl(
+                    &mut ws.mgr,
+                    &pairs,
+                    budget.cap(opts.verify_budget),
+                    &budget.ctl(),
+                    tel,
+                )
+            });
             match verdict {
                 VerifyOutcome::Equivalent => {}
                 VerifyOutcome::Counterexample(cex) => {
@@ -755,7 +684,6 @@ impl EcoEngine {
                         &clustering.clusters,
                         diag,
                         "verification budget exhausted on untouched outputs",
-                        times,
                         tel,
                     ));
                 }
@@ -830,7 +758,6 @@ impl EcoEngine {
                 .collect();
             match out {
                 Ok(out) => {
-                    times.fraig += out.fraig_time;
                     interpolation_fallbacks += out.group.fallbacks;
                     patches.extend(adopt_group(&mut ws, &out.sub, &out.group)?);
                     cluster_reports.push(ClusterReport {
@@ -859,8 +786,7 @@ impl EcoEngine {
                 cut: Cut::default(),
             });
         }
-        times.patchgen = t0.elapsed();
-        tel.add_stage(Stage::PatchGen, times.patchgen);
+        tel.add_stage(Stage::PatchGen, t0.elapsed());
 
         if failed > 0 {
             // Graceful degradation: report what completed; skip the
@@ -872,7 +798,6 @@ impl EcoEngine {
                 patches,
                 cluster_reports,
                 reason,
-                times,
                 tel,
             )));
         }
@@ -891,8 +816,7 @@ impl EcoEngine {
             let _ =
                 reduce_patch_sizes_governed(&mut ws, &mut patches, &opts.size_opts, budget, tel);
         }
-        times.optimize = t0.elapsed();
-        tel.add_stage(Stage::Optimize, times.optimize);
+        tel.add_stage(Stage::Optimize, t0.elapsed());
 
         // Stage 6: verification.
         let t0 = Instant::now();
@@ -903,17 +827,14 @@ impl EcoEngine {
         let f_outs = ws.f_outs.clone();
         let patched = ws.mgr.substitute(&f_outs, &map);
         let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
-        let verdict = check_equivalence_portfolio(
+        let verdict = check_equivalence_ctl(
             &mut ws.mgr,
             &pairs,
             budget.cap(opts.verify_budget),
             &budget.ctl(),
-            &PortfolioSpec::new(opts.portfolio),
             tel,
         );
-        let spent = t0.elapsed();
-        times.verify += spent;
-        tel.add_stage(Stage::Verify, spent);
+        tel.add_stage(Stage::Verify, t0.elapsed());
         match verdict {
             VerifyOutcome::Equivalent => {}
             VerifyOutcome::Counterexample(cex) => return Ok(AttemptOutcome::Cex(cex)),
@@ -928,7 +849,6 @@ impl EcoEngine {
                     patches,
                     cluster_reports,
                     "final verification budget exhausted".to_string(),
-                    times,
                     tel,
                 )));
             }
@@ -948,7 +868,6 @@ impl EcoEngine {
                 patch_aig,
                 cost,
                 size,
-                stage_times: times,
                 localization_fallback: false,
                 interpolation_fallbacks,
                 optimize_delta,
@@ -1014,7 +933,6 @@ impl EcoEngine {
         mut patches: Vec<PatchFn>,
         clusters: Vec<ClusterReport>,
         reason: String,
-        times: StageTimes,
         tel: &Telemetry,
     ) -> PartialResult {
         let assembled = tel.time(Stage::Assemble, || {
@@ -1038,7 +956,6 @@ impl EcoEngine {
             cost,
             size,
             clusters,
-            stage_times: times,
             telemetry: TelemetrySnapshot::default(),
         }
     }
@@ -1051,7 +968,6 @@ impl EcoEngine {
         clusters: &[TargetCluster],
         diagnosis: ClusterDiagnosis,
         reason: &str,
-        times: StageTimes,
         tel: &Telemetry,
     ) -> AttemptOutcome {
         let reports: Vec<ClusterReport> = clusters
@@ -1073,7 +989,6 @@ impl EcoEngine {
             Vec::new(),
             reports,
             reason.to_string(),
-            times,
             tel,
         ))
     }
@@ -1212,6 +1127,7 @@ fn prune_unused_inputs(aig: &Aig) -> Aig {
 mod tests {
     use super::*;
     use eco_netlist::{parse_verilog, WeightTable};
+    use std::time::Duration;
 
     fn instance(
         faulty: &str,
@@ -1403,10 +1319,8 @@ mod tests {
         let result = EcoEngine::new(inst, EcoOptions::default())
             .run()
             .expect("ok");
-        // total() sums the stages; just ensure it is consistent.
-        assert!(result.stage_times.total() >= result.stage_times.patchgen);
-        // The telemetry compat view mirrors the patchgen slot order.
         assert!(result.telemetry.stage_nanos(Stage::PatchGen) > 0);
+        assert!(result.telemetry.stage_nanos(Stage::Verify) > 0);
         assert!(result.telemetry.clusters >= 1);
         assert!(result.telemetry.jobs >= 1);
     }
@@ -1433,8 +1347,9 @@ mod tests {
             },
             ..Default::default()
         };
+        let budget = Budget::new(&options.budget);
         match EcoEngine::new(two_cluster_instance(), options)
-            .run_governed()
+            .run_governed(&budget)
             .expect("degradation is not a hard error")
         {
             EcoOutcome::Partial(p) => {
@@ -1459,8 +1374,9 @@ mod tests {
             },
             ..Default::default()
         };
+        let budget = Budget::new(&options.budget);
         match EcoEngine::new(two_cluster_instance(), options)
-            .run_governed()
+            .run_governed(&budget)
             .expect("degradation is not a hard error")
         {
             EcoOutcome::Partial(p) => {
@@ -1490,8 +1406,9 @@ mod tests {
             },
             ..Default::default()
         };
+        let budget = Budget::new(&options.budget);
         match EcoEngine::new(inst, options)
-            .run_governed()
+            .run_governed(&budget)
             .expect("rectifiable")
         {
             EcoOutcome::Complete(governed) => {
@@ -1505,6 +1422,31 @@ mod tests {
             }
             EcoOutcome::Partial(p) => panic!("expected complete, got partial: {}", p.reason),
         }
+    }
+
+    /// The precheck's CEGAR solvers are folded into the run telemetry
+    /// like every other SAT query.
+    #[test]
+    fn precheck_solvers_are_counted() {
+        let inst = two_cluster_instance();
+        let run = |precheck_rectifiability: bool| {
+            EcoEngine::new(
+                inst.clone(),
+                EcoOptions {
+                    precheck_rectifiability,
+                    ..Default::default()
+                },
+            )
+            .run()
+            .expect("rectifiable")
+        };
+        let (off, on) = (run(false), run(true));
+        assert!(
+            on.telemetry.sat.solvers > off.telemetry.sat.solvers,
+            "precheck solvers missing from telemetry: {} with vs {} without",
+            on.telemetry.sat.solvers,
+            off.telemetry.sat.solvers
+        );
     }
 
     /// Two independent single-output clusters: any `jobs` value must give

@@ -378,12 +378,11 @@ pub(crate) fn decode_memo_entry(payload: &[u8]) -> Option<(u128, Entry)> {
                 patch_aig,
                 cost,
                 size,
-                // Telemetry/stage times describe a producing run, never a
-                // cached value; store_patch already strips them.
-                stage_times: Default::default(),
                 localization_fallback,
                 interpolation_fallbacks,
                 optimize_delta,
+                // Telemetry describes a producing run, never a cached
+                // value; store_patch already strips it.
                 telemetry: Default::default(),
             };
             Some((

@@ -1,8 +1,15 @@
 //! Human-readable run reports.
 
 use std::fmt;
+use std::time::Duration;
 
-use crate::{EcoResult, PartialResult};
+use crate::{EcoResult, PartialResult, Stage, TelemetrySnapshot};
+
+/// Wall time recorded for `stage` (summed over both attempts when the
+/// localization fallback fired).
+fn stage_time(tel: &TelemetrySnapshot, stage: Stage) -> Duration {
+    Duration::from_nanos(tel.stage_nanos(stage))
+}
 
 /// A displayable summary of an [`EcoResult`] (one line per patch plus
 /// stage timings), used by the CLI and the benchmark harnesses.
@@ -52,13 +59,18 @@ impl fmt::Display for Report<'_> {
                 p.size
             )?;
         }
-        let t = r.stage_times;
+        let tel = &r.telemetry;
         writeln!(
             f,
             "stages: fraig {:.1?}, cluster {:.1?}, patchgen {:.1?}, optimize {:.1?} (cost {} -> {}), verify {:.1?}",
-            t.fraig, t.clustering, t.patchgen, t.optimize, r.optimize_delta.0, r.optimize_delta.1, t.verify
+            stage_time(tel, Stage::Fraig),
+            stage_time(tel, Stage::Clustering),
+            stage_time(tel, Stage::PatchGen),
+            stage_time(tel, Stage::Optimize),
+            r.optimize_delta.0,
+            r.optimize_delta.1,
+            stage_time(tel, Stage::Verify)
         )?;
-        let tel = &r.telemetry;
         writeln!(
             f,
             "flow: {} cluster(s) x {} job(s), sat {} solver(s) / {} conflicts / {} propagations, \
@@ -111,13 +123,16 @@ impl fmt::Display for PartialReport<'_> {
                 patch.size
             )?;
         }
-        let t = p.stage_times;
+        let tel = &p.telemetry;
         writeln!(
             f,
             "stages: fraig {:.1?}, cluster {:.1?}, patchgen {:.1?}, optimize {:.1?}, verify {:.1?}",
-            t.fraig, t.clustering, t.patchgen, t.optimize, t.verify
+            stage_time(tel, Stage::Fraig),
+            stage_time(tel, Stage::Clustering),
+            stage_time(tel, Stage::PatchGen),
+            stage_time(tel, Stage::Optimize),
+            stage_time(tel, Stage::Verify)
         )?;
-        let tel = &p.telemetry;
         writeln!(
             f,
             "governor: {} patched, {} budget-exhausted, {} deadline, {} panicked, {} escalations",

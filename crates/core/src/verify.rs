@@ -3,10 +3,7 @@
 use std::collections::HashMap;
 
 use eco_aig::{Aig, Lit, Var};
-use eco_sat::{
-    encode_cone, race, ArtifactPolicy, LBool, MemberOutcome, PortfolioSpec, SolveCtl, Solver,
-    SolverStats,
-};
+use eco_sat::{encode_cone, LBool, SolveCtl, Solver};
 
 use crate::telemetry::Telemetry;
 
@@ -39,45 +36,32 @@ pub fn check_equivalence(
     pairs: &[(Lit, Lit)],
     conflict_budget: u64,
 ) -> VerifyOutcome {
-    check_equivalence_stats(mgr, pairs, conflict_budget).0
+    check_equivalence_ctl(
+        mgr,
+        pairs,
+        conflict_budget,
+        &SolveCtl::unlimited(),
+        &Telemetry::new(),
+    )
 }
 
-/// Like [`check_equivalence`], but also returns the verification solver's
-/// final statistics (all zero when structural hashing short-circuits the
-/// check before any SAT call), for telemetry aggregation.
-pub fn check_equivalence_stats(
-    mgr: &mut Aig,
-    pairs: &[(Lit, Lit)],
-    conflict_budget: u64,
-) -> (VerifyOutcome, SolverStats) {
-    check_equivalence_ctl(mgr, pairs, conflict_budget, &SolveCtl::unlimited())
-}
-
-/// Like [`check_equivalence_stats`], with the verification solver enrolled
-/// in a governor control block: a fired deadline or cancellation flag ends
-/// the check with [`VerifyOutcome::Unknown`] at the next Luby restart.
+/// Like [`check_equivalence`], with the verification solver enrolled in a
+/// governor control block: a fired deadline or cancellation flag ends the
+/// check with [`VerifyOutcome::Unknown`] at the next Luby restart. The
+/// solver's statistics are folded into `tel`; nothing is recorded when
+/// structural hashing proves the pairs equal without a SAT call.
 pub fn check_equivalence_ctl(
     mgr: &mut Aig,
     pairs: &[(Lit, Lit)],
     conflict_budget: u64,
     ctl: &SolveCtl,
-) -> (VerifyOutcome, SolverStats) {
+    tel: &Telemetry,
+) -> VerifyOutcome {
     let xors: Vec<Lit> = pairs.iter().map(|&(a, b)| mgr.xor(a, b)).collect();
     let miter = mgr.or_many(&xors);
     if miter == Lit::FALSE {
-        return (VerifyOutcome::Equivalent, SolverStats::default());
+        return VerifyOutcome::Equivalent;
     }
-    solve_miter(mgr, miter, conflict_budget, ctl)
-}
-
-/// Solves one prepared miter literal with a single default-configuration
-/// solver (the `--portfolio 1` path, byte-for-byte).
-fn solve_miter(
-    mgr: &Aig,
-    miter: Lit,
-    conflict_budget: u64,
-    ctl: &SolveCtl,
-) -> (VerifyOutcome, SolverStats) {
     let mut solver = Solver::new();
     if !ctl.is_unlimited() {
         solver.set_ctl(ctl);
@@ -86,13 +70,12 @@ fn solve_miter(
     let roots = encode_cone(mgr, &[miter], &mut map, &mut solver);
     solver.add_clause(&[roots[0]]);
     let solved = solver.solve_limited(&[], conflict_budget);
-    let stats = solver.stats();
-    let outcome = match solved {
+    tel.record_solver(&solver.stats());
+    match solved {
         Some(false) => VerifyOutcome::Equivalent,
         None => VerifyOutcome::Unknown,
         Some(true) => VerifyOutcome::Counterexample(model_cex(mgr, &map, &solver)),
-    };
-    (outcome, stats)
+    }
 }
 
 /// Projects a SAT model onto the cone's primary inputs, sorted by name.
@@ -106,60 +89,6 @@ fn model_cex(mgr: &Aig, map: &HashMap<Var, eco_sat::Lit>, solver: &Solver) -> Ve
     }
     cex.sort();
     cex
-}
-
-/// [`check_equivalence_ctl`] with an optional deterministic solver
-/// portfolio: when `spec` enables racing *and* the conflict budget is
-/// unlimited, the miter is raced by the diversified configurations
-/// (first answer wins, counterexamples pinned to configuration 0 so the
-/// result is byte-identical to a single-configuration run). Finite
-/// budgets and single-member specs fall through to the plain path
-/// unchanged. Solver statistics and race outcomes are folded into `tel`.
-pub fn check_equivalence_portfolio(
-    mgr: &mut Aig,
-    pairs: &[(Lit, Lit)],
-    conflict_budget: u64,
-    ctl: &SolveCtl,
-    spec: &PortfolioSpec,
-    tel: &Telemetry,
-) -> VerifyOutcome {
-    let xors: Vec<Lit> = pairs.iter().map(|&(a, b)| mgr.xor(a, b)).collect();
-    let miter = mgr.or_many(&xors);
-    if miter == Lit::FALSE {
-        return VerifyOutcome::Equivalent;
-    }
-    if !spec.enabled() || conflict_budget != u64::MAX {
-        let (outcome, stats) = solve_miter(mgr, miter, conflict_budget, ctl);
-        tel.record_solver(&stats);
-        return outcome;
-    }
-    let mgr: &Aig = mgr;
-    let won = race(spec, ArtifactPolicy::PinSat, ctl, |_, cfg, member| {
-        let mut solver = Solver::with_config(cfg);
-        solver.set_ctl(&member.ctl);
-        solver.set_progress(member.progress);
-        let mut map: HashMap<Var, eco_sat::Lit> = HashMap::new();
-        let roots = encode_cone(mgr, &[miter], &mut map, &mut solver);
-        solver.add_clause(&[roots[0]]);
-        let answer = solver.solve_limited(&[], u64::MAX);
-        let artifact = if answer == Some(true) {
-            model_cex(mgr, &map, &solver)
-        } else {
-            Vec::new()
-        };
-        MemberOutcome {
-            answer,
-            artifact,
-            stats: solver.stats(),
-        }
-    });
-    tel.record_solver(&won.stats);
-    tel.record_portfolio(won.answer.map(|_| won.winner));
-    match won.answer {
-        Some(false) => VerifyOutcome::Equivalent,
-        None => VerifyOutcome::Unknown,
-        Some(true) => VerifyOutcome::Counterexample(won.artifact.unwrap_or_default()),
-    }
 }
 
 #[cfg(test)]
@@ -225,8 +154,10 @@ mod tests {
                 true,
             ))),
         };
-        let (outcome, _) = check_equivalence_ctl(&mut mgr, &[(f, g)], 1 << 20, &ctl);
+        let tel = Telemetry::new();
+        let outcome = check_equivalence_ctl(&mut mgr, &[(f, g)], 1 << 20, &ctl, &tel);
         assert_eq!(outcome, VerifyOutcome::Unknown);
+        assert_eq!(tel.snapshot().sat.solvers, 1);
     }
 
     #[test]

@@ -192,7 +192,13 @@ proptest! {
         let inst = EcoInstance::from_netlists("pre", &faulty, &golden, targets, &weights)
             .expect("valid");
         let mut ws = Workspace::new(&inst);
-        let got = eco_core::check_rectifiable(&mut ws, 512, 1 << 22);
+        let got = eco_core::check_rectifiable(
+            &mut ws,
+            512,
+            1 << 22,
+            &eco_sat::SolveCtl::unlimited(),
+            &eco_core::Telemetry::new(),
+        );
         prop_assert!(got.is_rectifiable(), "{got:?}");
         // And with the precheck enabled, the engine still succeeds.
         let opts = eco_core::EcoOptions {

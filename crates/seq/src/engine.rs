@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use eco_aig::{Aig, Lit, Var};
 use eco_core::{
     check_equivalence_ctl, Budget, EcoEngine, EcoError, EcoInstance, EcoOptions, EcoOutcome,
-    EcoResult, VerifyOutcome,
+    EcoResult, Telemetry, VerifyOutcome,
 };
 use eco_netlist::WeightTable;
 
@@ -185,9 +185,9 @@ impl SeqEcoEngine {
     ///
     /// # Errors
     ///
-    /// See [`SeqEcoEngine::run_governed_with`].
+    /// See [`SeqEcoEngine::run_governed`].
     pub fn run(&self) -> Result<SeqEcoResult, SeqEcoError> {
-        self.run_governed_with(&Budget::new(&self.options.eco.budget))
+        self.run_governed(&Budget::new(&self.options.eco.budget))
     }
 
     /// Runs unroll → combinational rectification → fold-back → sequential
@@ -201,7 +201,7 @@ impl SeqEcoEngine {
     /// [`SeqEcoError::VerifyUnknown`] when the re-proof ran out of
     /// budget; [`SeqEcoError::Eco`] / [`SeqEcoError::Seq`] on inner
     /// failures.
-    pub fn run_governed_with(&self, budget: &Budget) -> Result<SeqEcoResult, SeqEcoError> {
+    pub fn run_governed(&self, budget: &Budget) -> Result<SeqEcoResult, SeqEcoError> {
         let k = self.options.frames;
         let uf = unroll(&self.faulty, k)?;
         let ug = unroll(&self.golden, k)?;
@@ -244,7 +244,7 @@ impl SeqEcoEngine {
             &weights,
         )?;
         let engine = EcoEngine::new(instance, self.options.eco.clone());
-        let comb = match engine.run_governed_with(budget)? {
+        let comb = match engine.run_governed(budget)? {
             EcoOutcome::Complete(r) => r,
             EcoOutcome::Partial(p) => return Err(SeqEcoError::Degraded(p.reason)),
         };
@@ -277,11 +277,12 @@ impl SeqEcoEngine {
             let folded = fold_patch(&comb.patch_aig, &chosen)?;
             let patched = self.faulty.splice(&folded)?;
             let (mut miter, pairs) = unroll_miter(&patched, &self.golden, k)?;
-            let (outcome, _) = check_equivalence_ctl(
+            let outcome = check_equivalence_ctl(
                 &mut miter,
                 &pairs,
                 self.options.eco.verify_budget,
                 &budget.ctl(),
+                &Telemetry::new(),
             );
             match outcome {
                 VerifyOutcome::Equivalent => {

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use eco_aig::{Aig, Lit, SplitMix64, Var};
 use eco_core::{
-    check_equivalence, splice_patch, BudgetOptions, ClusterDiagnosis, EcoEngine, EcoError,
+    check_equivalence, splice_patch, Budget, BudgetOptions, ClusterDiagnosis, EcoEngine, EcoError,
     EcoInstance, EcoOptions, EcoOutcome, PartialResult, VerifyOutcome,
 };
 use eco_netlist::{
@@ -517,14 +517,7 @@ pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> BudgetCaseOutcome {
     // escapes from any other stage.
     let budget = budget_for_seed(case.seed);
     let run = catch_unwind(AssertUnwindSafe(|| {
-        EcoEngine::new(
-            inst,
-            EcoOptions {
-                budget,
-                ..Default::default()
-            },
-        )
-        .run_governed()
+        EcoEngine::new(inst, EcoOptions::default()).run_governed(&Budget::new(&budget))
     }));
     let outcome = match run {
         Ok(o) => o,

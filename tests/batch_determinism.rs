@@ -135,10 +135,7 @@ fn poisoned_memo_entry_falls_back_to_full_sat_check() {
         .run()
         .expect("victim rectifiable");
     let engine = EcoEngine::new(victim, options);
-    let poisoned_run = match engine.run_governed().expect("victim rectifiable") {
-        eco::core::EcoOutcome::Complete(r) => r,
-        other => panic!("expected complete outcome, got {other:?}"),
-    };
+    let poisoned_run = engine.run().expect("victim rectifiable");
 
     let stats = cache.stats();
     assert!(stats.fallbacks > 0, "poisoned entry must be refuted");

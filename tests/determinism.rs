@@ -5,14 +5,17 @@
 
 mod common;
 
-use eco::core::{BudgetOptions, ClusterDiagnosis, EcoEngine, EcoOptions, EcoOutcome, EcoResult};
+use eco::core::{
+    Budget, BudgetOptions, ClusterDiagnosis, EcoEngine, EcoOptions, EcoOutcome, EcoResult,
+};
 use eco::workgen::contest_suite;
 
-fn run_with_jobs(inst: &eco::core::EcoInstance, jobs: usize) -> EcoResult {
+fn run_with_jobs(inst: &eco::core::EcoInstance, jobs: usize, precheck: bool) -> EcoResult {
     EcoEngine::new(
         inst.clone(),
         EcoOptions {
             jobs,
+            precheck_rectifiability: precheck,
             ..Default::default()
         },
     )
@@ -44,7 +47,9 @@ fn assert_identical(unit: &str, seq: &EcoResult, par: &EcoResult) {
     );
 }
 
-/// Multi-cluster units from the synthetic contest suite, jobs=1 vs jobs=4.
+/// Multi-cluster units from the synthetic contest suite, jobs=1 vs jobs=4,
+/// with the Eq.-2 rectifiability precheck off and on. The precheck runs
+/// on a scratch workspace, so it must not change the patches either.
 #[test]
 fn parallel_patchgen_is_deterministic() {
     let subset = ["unit02", "unit04", "unit06", "unit10", "unit12"];
@@ -54,15 +59,17 @@ fn parallel_patchgen_is_deterministic() {
             continue;
         }
         let inst = unit.instance().expect("valid instance");
-        let seq = run_with_jobs(&inst, 1);
-        let par = run_with_jobs(&inst, 4);
-        common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &par);
-        assert_identical(&unit.spec.name, &seq, &par);
-        assert!(
-            par.telemetry.jobs >= 1 && par.telemetry.clusters >= 1,
-            "{}: telemetry must record the flow shape",
-            unit.spec.name
-        );
+        let seq = run_with_jobs(&inst, 1, false);
+        for (jobs, precheck) in [(4, false), (1, true), (4, true)] {
+            let label = format!("{} (jobs {jobs}, precheck {precheck})", unit.spec.name);
+            let other = run_with_jobs(&inst, jobs, precheck);
+            common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &other);
+            assert_identical(&label, &seq, &other);
+            assert!(
+                other.telemetry.jobs >= 1 && other.telemetry.clusters >= 1,
+                "{label}: telemetry must record the flow shape"
+            );
+        }
         checked += 1;
     }
     assert_eq!(checked, subset.len(), "suite units went missing");
@@ -76,18 +83,18 @@ fn parallel_patchgen_is_deterministic() {
 #[test]
 fn degradation_is_jobs_independent() {
     let run_governed = |inst: &eco::core::EcoInstance, jobs: usize, conflicts: u64| {
+        let budget = BudgetOptions {
+            timeout: None,
+            cluster_conflicts: Some(conflicts),
+        };
         EcoEngine::new(
             inst.clone(),
             EcoOptions {
                 jobs,
-                budget: BudgetOptions {
-                    timeout: None,
-                    cluster_conflicts: Some(conflicts),
-                },
                 ..Default::default()
             },
         )
-        .run_governed()
+        .run_governed(&Budget::new(&budget))
         .expect("governed runs degrade, they do not error")
     };
     let unit = contest_suite()
@@ -142,115 +149,6 @@ fn degradation_is_jobs_independent() {
     }
 }
 
-fn run_with_portfolio(inst: &eco::core::EcoInstance, portfolio: usize, jobs: usize) -> EcoResult {
-    EcoEngine::new(
-        inst.clone(),
-        EcoOptions {
-            portfolio,
-            jobs,
-            // Exercise the 2QBF CEGAR races too, not just the miters.
-            precheck_rectifiability: true,
-            ..Default::default()
-        },
-    )
-    .run()
-    .expect("rectifiable")
-}
-
-/// The deterministic solver portfolio must be invisible in the results:
-/// `--portfolio 1` and `--portfolio 4` (and repeated `--portfolio 4`
-/// runs, and portfolio × jobs combinations) produce byte-identical
-/// patches.
-#[test]
-fn portfolio_is_deterministic() {
-    let subset = ["unit04", "unit06"];
-    let mut checked = 0;
-    for unit in contest_suite() {
-        if !subset.contains(&unit.spec.name.as_str()) {
-            continue;
-        }
-        let inst = unit.instance().expect("valid instance");
-        let single = run_with_portfolio(&inst, 1, 1);
-        let raced = run_with_portfolio(&inst, 4, 1);
-        let raced_again = run_with_portfolio(&inst, 4, 1);
-        let raced_parallel = run_with_portfolio(&inst, 4, 4);
-        common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &raced);
-        assert_identical(&unit.spec.name, &single, &raced);
-        assert_identical(&unit.spec.name, &raced, &raced_again);
-        assert_identical(&unit.spec.name, &raced, &raced_parallel);
-        assert_eq!(
-            single.telemetry.portfolio_launches, 0,
-            "{}: a single-member spec must never race",
-            unit.spec.name
-        );
-        assert!(
-            raced.telemetry.portfolio_launches >= 1,
-            "{}: unlimited-budget queries must race at portfolio 4",
-            unit.spec.name
-        );
-        checked += 1;
-    }
-    assert_eq!(checked, subset.len(), "suite units went missing");
-}
-
-/// A starved (or finite) governor budget must not interact with the
-/// portfolio: finite-budget queries are never raced, so the degradation
-/// split and partial patches agree exactly across `--portfolio` values.
-#[test]
-fn portfolio_starved_governor_is_deterministic() {
-    let run_governed = |inst: &eco::core::EcoInstance, portfolio: usize, conflicts: u64| {
-        EcoEngine::new(
-            inst.clone(),
-            EcoOptions {
-                portfolio,
-                budget: BudgetOptions {
-                    timeout: None,
-                    cluster_conflicts: Some(conflicts),
-                },
-                ..Default::default()
-            },
-        )
-        .run_governed()
-        .expect("governed runs degrade, they do not error")
-    };
-    let unit = contest_suite()
-        .into_iter()
-        .find(|u| u.spec.name == "unit06")
-        .expect("unit06 exists");
-    let inst = unit.instance().expect("valid instance");
-    for conflicts in [0, 1 << 30] {
-        let single = run_governed(&inst, 1, conflicts);
-        let raced = run_governed(&inst, 4, conflicts);
-        match (&single, &raced) {
-            (EcoOutcome::Complete(a), EcoOutcome::Complete(b)) => {
-                assert_identical("unit06-portfolio-governed", a, b);
-            }
-            (EcoOutcome::Partial(a), EcoOutcome::Partial(b)) => {
-                assert_eq!(a.reason, b.reason, "degradation reason differs");
-                assert_eq!(a.clusters.len(), b.clusters.len());
-                for (ca, cb) in a.clusters.iter().zip(&b.clusters) {
-                    assert_eq!(ca.targets, cb.targets, "cluster order differs");
-                    assert_eq!(ca.diagnosis, cb.diagnosis);
-                }
-                assert_eq!(a.cost, b.cost);
-                assert_eq!(a.size, b.size);
-                assert_eq!(
-                    format!("{:?}", a.patch_aig),
-                    format!("{:?}", b.patch_aig),
-                    "partial patch AIG differs structurally"
-                );
-            }
-            _ => panic!("portfolio 1 and 4 disagree on complete-vs-partial"),
-        }
-        // Finite allowances must bypass the race machinery entirely.
-        let launches = match &raced {
-            EcoOutcome::Complete(r) => r.telemetry.portfolio_launches,
-            EcoOutcome::Partial(p) => p.telemetry.portfolio_launches,
-        };
-        assert_eq!(launches, 0, "finite budgets must never race");
-    }
-}
-
 /// The sequential flow (`eco-patch --unroll`) must be jobs-invariant
 /// end to end: the unrolled combinational stage runs on worker threads,
 /// but the folded sequential patch — and the emitted BTOR2 of the
@@ -302,8 +200,8 @@ fn auto_jobs_matches_sequential() {
             continue;
         }
         let inst = unit.instance().expect("valid instance");
-        let seq = run_with_jobs(&inst, 1);
-        let auto = run_with_jobs(&inst, 0);
+        let seq = run_with_jobs(&inst, 1, false);
+        let auto = run_with_jobs(&inst, 0, false);
         assert_identical(&unit.spec.name, &seq, &auto);
     }
 }
