@@ -1,7 +1,7 @@
-//! The deterministic worker-pool primitives shared by the batch runner
-//! and the `eco-serve` daemon.
-//!
-//! Two shapes of work distribution live here:
+//! The deterministic worker-pool primitives of the two front-ends over
+//! the job core ([`crate::JobCore`]): the batch runner and the
+//! `eco-serve` daemon. Each front-end keeps its own shape of work
+//! distribution — the job core itself does not schedule:
 //!
 //! * [`run_indexed`] — the batch runner's claim-counter pool: `count`
 //!   indexed tasks, one shared [`AtomicUsize`] that workers draw the next
@@ -15,10 +15,12 @@
 //!
 //! # Panic containment
 //!
-//! Both primitives survive panicking tasks. `run_indexed` wraps every
-//! task in [`catch_unwind`] and substitutes the caller's `on_panic`
-//! record, so one exploding job becomes one error result instead of a
-//! dead worker. All internal locks recover from poisoning via
+//! Both primitives survive panicking tasks. Jobs already run inside
+//! `JobCore::run`'s panic boundary; `run_indexed` additionally wraps
+//! every task in [`catch_unwind`] and substitutes the caller's
+//! `on_panic` record, so a panic outside the job itself becomes one
+//! error result instead of a dead worker. All locks recover from
+//! poisoning via
 //! [`PoisonError::into_inner`]: the protected data is a plain
 //! `Option<T>` slot or `VecDeque` whose invariants hold at every await
 //! point, so a panic while a lock was held must degrade to "use the data
@@ -31,9 +33,19 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks a mutex, recovering from poisoning. Safe whenever the protected
 /// data is valid at every point a panic can unwind through (true for the
-/// plain-data containers this module guards).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// plain-data containers this module guards, the journal's log writer,
+/// and the daemon's response sequencer).
+pub fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Resolves a worker-count knob: `0` means one worker per available
+/// core.
+pub fn resolve_workers(workers: usize) -> usize {
+    match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
 }
 
 /// Runs `count` indexed tasks over `workers` threads with work stealing

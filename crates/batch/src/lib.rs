@@ -7,14 +7,14 @@
 //! worker that finishes one instance immediately pulls the next, whatever
 //! job it belongs to, so a long job never serializes the batch behind it.
 //!
-//! At the core sits the shared [`eco_core::MemoCache`]: a sharded,
-//! lock-striped concurrent map keyed by dual 128-bit structural
-//! fingerprints that memoizes whole FRAIG sweeps, rectifiability verdicts,
-//! and complete verified patch results, so structurally identical
-//! (sub-)circuits across jobs are solved once. Cached patches are always
-//! re-verified with a fresh SAT miter before being reported, and cache
-//! hits never change results — only wall time (see the
-//! `eco_core::memo` module docs for the determinism argument).
+//! At the core sits a [`JobCore`], shared with the `eco-serve` daemon:
+//! the [`eco_core::MemoCache`] that memoizes FRAIG sweeps,
+//! rectifiability verdicts, and verified patches across jobs (cached
+//! patches are re-verified by a fresh SAT miter, so hits change only
+//! wall time; see `eco_core::memo`), the durable memo store and the
+//! job [`Journal`] behind `--journal`/`--resume` ([`wal`]), and
+//! [`JobCore::run`], the one place a job executes. This crate adds the
+//! manifest, the job-stealing pool ([`run_indexed`]), and resume order.
 //!
 //! The run-wide governor budget ([`BatchOptions::budget`]) is apportioned
 //! across jobs with [`eco_core::Budget::child`]: every job shares the
@@ -58,6 +58,7 @@
 //! ```
 
 pub mod executor;
+mod job_core;
 pub mod json;
 mod manifest;
 pub mod report;
@@ -65,10 +66,14 @@ mod runner;
 pub mod wal;
 
 pub use crate::executor::{run_indexed, BoundedQueue, PushError};
+pub use crate::job_core::{execute_job, JobCore};
 pub use crate::manifest::{job_spec_from_json, JobSpec, Manifest, ManifestError};
 pub use crate::report::{exit_code, record_from_json, record_json, records_jsonl, stats_json};
 pub use crate::runner::{
-    execute_job, load_job_instance, load_jobs, run_batch, BatchJob, BatchOptions, BatchOutcome,
-    JobRecord, JobStatus,
+    load_job_instance, load_jobs, run_batch, BatchJob, BatchOptions, BatchOutcome, JobRecord,
+    JobStatus,
 };
-pub use crate::wal::{job_fingerprint, load_journal, BatchJournal, BatchJournalState};
+pub use crate::wal::{
+    job_fingerprint, request_fingerprint, Journal, JournalFile, JournalState, BATCH_WAL,
+    REQUEST_WAL,
+};

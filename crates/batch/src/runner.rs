@@ -9,10 +9,13 @@
 //! the pool is already saturated at job granularity, and nesting
 //! per-cluster pools under it would oversubscribe the machine.
 //!
-//! All jobs share one [`MemoCache`], so a sweep, rectifiability verdict,
+//! Jobs run through the [`JobCore`] shared with the `eco-serve` daemon,
+//! so all of them share one memo cache: a sweep, rectifiability verdict,
 //! or complete verified patch computed for one job is reused by every
 //! structurally identical (sub-)instance later in the batch — including
-//! later `repeat` passes, which model warm-cache runs.
+//! later `repeat` passes, which model warm-cache runs. This module keeps
+//! what is batch-only: the manifest loader, the job pool, and resume
+//! keyed by job content in manifest order.
 //!
 //! The run-wide budget is apportioned: each job's [`Budget::child`]
 //! shares the batch deadline while the conflict allowance is divided
@@ -22,21 +25,19 @@
 //! limit bypasses the memo cache (truncated results are not reusable
 //! pure functions; see `eco_core::memo`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eco_core::{
-    faultpoint, Budget, BudgetOptions, EcoEngine, EcoError, EcoInstance, EcoOptions, EcoOutcome,
-    MemoCache, MemoStats, MemoStore,
-};
+use eco_core::{Budget, BudgetOptions, EcoInstance, EcoOptions, MemoStats};
 use eco_netlist::{elaborate, parse_blif, parse_verilog, parse_weights, WeightTable};
 
-use crate::executor::run_indexed;
+use crate::executor::{resolve_workers, run_indexed};
+use crate::job_core::{JobCore, PANICKED};
 use crate::manifest::{JobSpec, Manifest};
-use crate::wal::{job_fingerprint, load_journal, BatchJournal, BatchJournalState};
+use crate::report::{record_from_json, record_json};
+use crate::wal::{job_fingerprint, BATCH_WAL};
 
 /// Knobs for a batch run.
 #[derive(Clone, Debug, Default)]
@@ -128,6 +129,26 @@ pub struct JobRecord {
     pub detail: String,
 }
 
+impl JobRecord {
+    /// An `error` record for job `name` that produced nothing — the
+    /// starting point of every record, and the whole record of a job
+    /// that failed to load or panicked.
+    pub(crate) fn failed(name: &str, detail: impl Into<String>) -> JobRecord {
+        JobRecord {
+            pass: 0,
+            index: 0,
+            name: name.to_string(),
+            status: JobStatus::Error,
+            targets: 0,
+            patches: 0,
+            cost: 0,
+            size: 0,
+            verified: false,
+            detail: detail.into(),
+        }
+    }
+}
+
 /// A loaded batch entry: a named instance or the error that prevented
 /// loading it (kept so one broken entry doesn't abort the batch).
 pub struct BatchJob {
@@ -163,9 +184,10 @@ pub struct BatchOutcome {
     pub reused: u64,
     /// Memo entries recovered from the durable store on startup.
     pub memo_loaded: u64,
-    /// Journal/store records skipped as corrupt or torn, plus journal
-    /// appends and store operations that failed (durability degraded,
-    /// the batch continued).
+    /// Journal/store records skipped as corrupt, torn, or undecodable,
+    /// plus state that failed to open and journal appends and store
+    /// operations that failed (durability degraded, the batch
+    /// continued).
     pub persist_errors: u64,
 }
 
@@ -268,61 +290,32 @@ fn read_circuit(
 /// and memo cache. Records come back in `(pass, index)` order no matter
 /// how the pool interleaved the work.
 pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
-    let cache = Arc::new(MemoCache::new());
-    let mut persist_errors = 0u64;
-    let mut memo_loaded = 0u64;
-    // Crash-safety state: recover the durable memo store and the job
-    // journal before anything executes. Failures here degrade to an
+    // Crash-safety state: recover the durable memo store and open the
+    // job journal before anything executes. Failures here degrade to an
     // in-memory run (counted), they never abort the batch.
-    let store = opts
-        .journal
-        .as_deref()
-        .and_then(|dir| match MemoStore::open(dir) {
-            Ok(store) => {
-                let loaded = store.load_into(&cache);
-                memo_loaded = loaded.loaded;
-                persist_errors += loaded.skipped;
-                store.attach(&cache);
-                Some(store)
-            }
-            Err(_) => {
-                persist_errors += 1;
-                None
-            }
-        });
-    let resume_state: Option<BatchJournalState> = if opts.resume {
-        opts.journal
-            .as_deref()
-            .and_then(|dir| match load_journal(dir) {
-                Ok(state) => {
-                    persist_errors += state.log.skipped_frames + state.bad_records;
-                    Some(state)
+    let core = JobCore::open(opts.journal.as_deref(), BATCH_WAL);
+    // Resume: journaled records replay verbatim. A failed read is
+    // counted by the core and replays nothing; a record that no longer
+    // decodes is counted here and its job recomputes.
+    let mut done: HashMap<u128, JobRecord> = HashMap::new();
+    let mut undecodable = 0u64;
+    if opts.resume {
+        for (fp, line) in core.load_journal().unwrap_or_default().done {
+            match record_from_json(&line) {
+                Ok(record) => {
+                    done.insert(fp, record);
                 }
-                Err(_) => {
-                    persist_errors += 1;
-                    None
-                }
-            })
-    } else {
-        None
-    };
-    let journal = opts
-        .journal
-        .as_deref()
-        .and_then(|dir| match BatchJournal::open(dir) {
-            Ok(j) => Some(j),
-            Err(_) => {
-                persist_errors += 1;
-                None
+                Err(_) => undecodable += 1,
             }
-        });
+        }
+    }
     let reused = AtomicU64::new(0);
-    let run_budget = Budget::new(&opts.budget);
     // Apportion the batch-wide conflict allowance evenly across jobs.
     let apportioned = opts
         .budget
         .cluster_conflicts
         .map(|total| (total / jobs.len().max(1) as u64).max(1));
+    let run_budget = Budget::new(&opts.budget).child(apportioned);
     let workers = resolve_workers(opts.jobs).min(jobs.len().max(1));
     let repeat = opts.repeat.max(1);
 
@@ -331,182 +324,54 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
     for pass in 0..repeat {
         let t0 = Instant::now();
         let run_one = |index: usize| {
-            let fp = job_fingerprint(pass, index, &jobs[index]);
-            if let Some(state) = &resume_state {
-                if let Some(record) = state.done.get(&fp) {
-                    // Completed before the crash: replay the journaled
-                    // record verbatim, never recompute.
-                    reused.fetch_add(1, Ordering::Relaxed);
-                    return record.clone();
-                }
+            let job = &jobs[index];
+            let fp = job_fingerprint(pass, index, job);
+            if let Some(record) = done.get(&fp) {
+                // Completed before the crash: replay the journaled
+                // record verbatim, never recompute.
+                reused.fetch_add(1, Ordering::Relaxed);
+                return record.clone();
             }
-            if let Some(journal) = &journal {
-                // Write-ahead: the job is on disk before it executes, so
-                // a kill here is a journaled-but-unfinished job the next
-                // resume picks up.
-                journal.admit(fp);
+            // Write-ahead: the job is on disk before it executes, so a
+            // kill here is a journaled-but-unfinished job the next
+            // resume picks up.
+            if let Some(journal) = core.journal() {
+                journal.admit(fp, "");
             }
-            let record = run_job(
-                pass,
-                index,
-                &jobs[index],
-                opts,
+            let mut record = core.run(
+                &job.name,
+                || &job.source,
+                &opts.eco,
                 &run_budget,
-                apportioned,
-                &cache,
+                job.budget,
             );
-            if let Some(journal) = &journal {
-                journal.done(fp, &record);
+            record.pass = pass;
+            record.index = index;
+            if let Some(journal) = core.journal() {
+                journal.done(fp, &record_json(&record));
             }
             record
         };
         // The shared claim-counter pool (executor.rs): one slot per job,
-        // merged in index order, panicking jobs isolated to one error
-        // record with poison-recovering slot locks.
+        // merged in index order, a panic that escapes the job core
+        // isolated to one error record.
         records.extend(run_indexed(workers, jobs.len(), run_one, |index| {
-            panic_record(pass, index, &jobs[index].name)
+            JobRecord {
+                pass,
+                index,
+                ..JobRecord::failed(&jobs[index].name, PANICKED)
+            }
         }));
         pass_wall.push(t0.elapsed());
     }
 
-    if let Some(store) = &store {
-        // Graceful finish: compact the journaled entries into the
-        // snapshot so the next run warm-starts from one clean file.
-        if store.snapshot(&cache).is_err() {
-            persist_errors += 1;
-        }
-        persist_errors += store.append_errors();
-    }
-    if let Some(journal) = &journal {
-        persist_errors += journal.append_errors();
-    }
-
+    core.checkpoint();
     BatchOutcome {
         records,
         pass_wall,
-        memo: cache.stats(),
+        memo: core.memo_stats(),
         reused: reused.load(Ordering::Relaxed),
-        memo_loaded,
-        persist_errors,
+        memo_loaded: core.memo_loaded(),
+        persist_errors: core.persist_errors() + undecodable,
     }
-}
-
-fn resolve_workers(jobs: usize) -> usize {
-    if jobs != 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The error record substituted when a job's worker panicked outside the
-/// engine's own isolation (e.g. mid-slot-write).
-fn panic_record(pass: usize, index: usize, name: &str) -> JobRecord {
-    JobRecord {
-        pass,
-        index,
-        name: name.to_string(),
-        status: JobStatus::Error,
-        targets: 0,
-        patches: 0,
-        cost: 0,
-        size: 0,
-        verified: false,
-        detail: "job worker panicked".into(),
-    }
-}
-
-fn run_job(
-    pass: usize,
-    index: usize,
-    job: &BatchJob,
-    opts: &BatchOptions,
-    run_budget: &Budget,
-    apportioned: Option<u64>,
-    cache: &Arc<MemoCache>,
-) -> JobRecord {
-    let allowance = match (apportioned, job.budget) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    let budget = run_budget.child(allowance);
-    let mut record = execute_job(&job.name, &job.source, &opts.eco, &budget, cache);
-    record.pass = pass;
-    record.index = index;
-    record
-}
-
-/// Runs one loaded job to a deterministic [`JobRecord`] — the shared
-/// execution core of the batch runner and the `eco-serve` daemon.
-///
-/// The engine runs single-threaded (`jobs = 1`; the caller's pool is
-/// already saturated at job granularity) over the shared `cache`, under
-/// `budget` (derive it with [`Budget::child`] to apportion a wider
-/// allowance). A panicking engine becomes an `error` record instead of
-/// unwinding into the caller's pool. `pass` and `index` are zero;
-/// callers embedding the record in a batch set them afterwards.
-pub fn execute_job(
-    name: &str,
-    source: &Result<EcoInstance, String>,
-    eco_base: &EcoOptions,
-    budget: &Budget,
-    cache: &Arc<MemoCache>,
-) -> JobRecord {
-    let mut record = JobRecord {
-        pass: 0,
-        index: 0,
-        name: name.to_string(),
-        status: JobStatus::Error,
-        targets: 0,
-        patches: 0,
-        cost: 0,
-        size: 0,
-        verified: false,
-        detail: String::new(),
-    };
-    let instance = match source {
-        Ok(instance) => instance,
-        Err(msg) => {
-            record.detail = msg.clone();
-            return record;
-        }
-    };
-    record.targets = instance.targets.len();
-
-    let mut eco = eco_base.clone();
-    eco.jobs = 1;
-    eco.memo = Some(Arc::clone(cache));
-    let engine = EcoEngine::new(instance.clone(), eco);
-
-    // A panicking job must not take the whole batch (and its scoped pool)
-    // down with it; it becomes an `error` record like any other failure.
-    // The chaos `solver.panic` site detonates here, inside the isolation
-    // boundary it exists to exercise.
-    match catch_unwind(AssertUnwindSafe(|| {
-        faultpoint::maybe_panic("solver.panic");
-        engine.run_governed(budget)
-    })) {
-        Err(_) => record.detail = "job worker panicked".into(),
-        Ok(Err(EcoError::Unrectifiable(why))) => {
-            record.status = JobStatus::Unrectifiable;
-            record.detail = why;
-        }
-        Ok(Err(e)) => record.detail = e.to_string(),
-        Ok(Ok(EcoOutcome::Complete(result))) => {
-            record.status = JobStatus::Complete;
-            record.patches = result.patches.len();
-            record.cost = result.cost;
-            record.size = result.size as u64;
-            record.verified = true;
-        }
-        Ok(Ok(EcoOutcome::Partial(partial))) => {
-            record.status = JobStatus::Partial;
-            record.patches = partial.patches.len();
-            record.cost = partial.cost;
-            record.size = partial.size as u64;
-            record.detail = partial.reason;
-        }
-    }
-    record
 }

@@ -1,15 +1,18 @@
 #![warn(missing_docs)]
 //! # eco-serve — the persistent ECO daemon with an always-warm memo cache
 //!
-//! A long-lived service wrapping the `eco-batch` execution core: jobs
-//! arrive as line-delimited JSON over a unix socket (or stdin for tests
-//! and pipelines), run on a bounded worker pool, and share one
-//! process-lifetime [`eco_core::MemoCache`] — so the cache that a batch
-//! run throws away at exit stays warm here across requests, connections,
-//! and clients. A structurally repeated instance is answered from memo
-//! in microseconds instead of a full engine run (cached patches are
-//! still SAT re-verified; see `eco_core::memo` for the determinism
-//! argument).
+//! The second front-end over the `eco-batch` job core
+//! ([`eco_batch::JobCore`]): jobs arrive as line-delimited JSON over a
+//! unix socket (or stdin for tests and pipelines), run on a bounded
+//! worker pool, and share one process-lifetime [`eco_core::MemoCache`]
+//! — so the cache that a batch run throws away at exit stays warm here
+//! across requests, connections, and clients. A structurally repeated
+//! instance is answered from memo in microseconds instead of a full
+//! engine run (cached patches are still SAT re-verified; see
+//! `eco_core::memo` for the determinism argument). The core also owns
+//! the durable memo store and the request journal
+//! ([`eco_batch::REQUEST_WAL`]) behind `--journal`/`--resume`; this
+//! crate adds only what a daemon needs on top.
 //!
 //! The moving parts:
 //!
@@ -17,10 +20,10 @@
 //!   `shutdown`) with typed refusals (`busy`, `draining`,
 //!   `bad-request`).
 //! * [`server`] — admission control over an
-//!   [`eco_batch::BoundedQueue`], per-request [`eco_core::Budget`]
-//!   apportionment, per-connection response sequencing (responses in
-//!   request order ⇒ byte-identical streams for any worker count), and
-//!   graceful drain.
+//!   [`eco_batch::BoundedQueue`], per-connection response sequencing
+//!   (responses in request order ⇒ byte-identical streams for any
+//!   worker count), resume in admit order with quarantine, and graceful
+//!   drain (which resets the journal).
 //! * [`client`] — the synchronous replay client with round-trip latency
 //!   percentiles.
 //! * [`signal`] — SIGTERM/SIGINT → drain flag (the workspace's only
@@ -43,7 +46,6 @@
 //! ```
 
 pub mod client;
-pub mod journal;
 pub mod proto;
 pub mod server;
 #[cfg(unix)]
@@ -51,10 +53,6 @@ pub mod signal;
 
 pub use client::{
     percentile_us, retry_backoff, run_client, timing_json, ClientOptions, ClientSummary,
-};
-pub use journal::{
-    load_request_journal, request_fingerprint, RequestJournal, RequestJournalState,
-    REQUEST_JOURNAL_MAGIC,
 };
 pub use server::{
     resume_report_json, summary_json, ResumeReport, ServeOptions, ServeSummary, Server,

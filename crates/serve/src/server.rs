@@ -1,8 +1,8 @@
-//! The daemon core: admission control, the worker pool, response
-//! sequencing, and graceful drain.
+//! The daemon front-end: admission control, the worker pool, response
+//! sequencing, resume, and graceful drain, over the shared job core.
 //!
-//! A [`Server`] owns one process-lifetime [`MemoCache`] shared by every
-//! request it ever serves — the "always-warm" property: a structurally
+//! A [`Server`] owns one [`JobCore`], whose process-lifetime memo cache
+//! is shared by every request it ever serves — the "always-warm" property: a structurally
 //! identical job arriving minutes later hits the cache that the first
 //! occurrence filled, across connections and across clients.
 //!
@@ -11,7 +11,7 @@
 //! ```text
 //!  conn readers ──try_push──▶ BoundedQueue ──pop──▶ worker pool
 //!   (1/conn)        │ Full → "busy"                  (N threads)
-//!                   │ Closed → "draining"              │ execute_job
+//!                   │ Closed → "draining"              │ JobCore::run
 //!                   ▼                                  ▼
 //!            refusal via ConnOut  ◀──seq-ordered── run response
 //! ```
@@ -43,19 +43,17 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use eco_batch::executor::{lock_recovering, resolve_workers};
 use eco_batch::{
-    execute_job, load_job_instance, BoundedQueue, JobRecord, JobSpec, JobStatus, PushError,
+    json, load_job_instance, request_fingerprint, BoundedQueue, JobCore, JobRecord, JobSpec,
+    PushError, REQUEST_WAL,
 };
-use eco_core::{
-    faultpoint, Budget, BudgetOptions, EcoOptions, JsonObj, MemoCache, MemoStats, MemoStore,
-};
+use eco_core::{faultpoint, Budget, BudgetOptions, EcoOptions, JsonObj, MemoStats};
 
-use crate::journal::{load_request_journal, request_fingerprint, RequestJournal};
 use crate::proto::{self, Request, StatsView};
-use eco_batch::json;
 
 /// How often blocked unix-socket reads and the accept loop re-check the
 /// draining flag.
@@ -178,13 +176,6 @@ pub fn resume_report_json(r: &ResumeReport) -> String {
         .build()
 }
 
-/// Locks a mutex, recovering from poisoning — same policy as the
-/// executor: the sequencer state is a plain map valid at every unwind
-/// point, so a panicking sibling must not abort the connection.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Per-connection response sequencer. Workers finish in any order, but
 /// responses are written strictly in request (sequence) order: an
 /// out-of-order response parks in `pending` until its predecessors
@@ -215,6 +206,8 @@ impl ConnOut {
     /// from `next` upward. Write errors are ignored (the client is
     /// gone); sequencing state still advances so the session drains.
     fn send(&self, seq: u64, line: String) {
+        // The sequencer state is a plain map valid at every unwind
+        // point, so a panicking sibling must not abort the connection.
         let mut guard = lock_recovering(&self.inner);
         let state = &mut *guard;
         state.pending.insert(seq, line);
@@ -242,25 +235,21 @@ enum LineOutcome {
     Shutdown,
 }
 
-/// The daemon: one shared memo cache, one draining flag, and the
-/// counters behind `stats` responses. Serve loops ([`Server::serve_unix`],
+/// The daemon: one [`JobCore`] (shared memo cache, durable state,
+/// request journal), one draining flag, and the counters behind `stats`
+/// responses. Serve loops ([`Server::serve_unix`],
 /// [`Server::serve_reader`]) borrow it; the cache outlives them all, so
 /// a second serve loop on the same `Server` starts warm.
 pub struct Server {
     opts: ServeOptions,
     workers: usize,
-    cache: Arc<MemoCache>,
-    store: Option<Arc<MemoStore>>,
-    journal: Option<RequestJournal>,
-    memo_loaded: u64,
-    state_error: Option<String>,
+    core: JobCore,
     draining: AtomicBool,
     served: AtomicU64,
     busy: AtomicU64,
     refused_draining: AtomicU64,
     bad_requests: AtomicU64,
     worker_restarts: AtomicU64,
-    persist_errors: AtomicU64,
 }
 
 impl Server {
@@ -268,59 +257,26 @@ impl Server {
     /// [`ServeOptions::state_dir`] set, the cache is pre-warmed from the
     /// durable memo store and every insertion is journaled; a state
     /// directory that fails to open degrades to in-memory serving (the
-    /// error is kept in [`Server::state_error`]) — availability over
+    /// errors are kept in [`Server::state_error`]) — availability over
     /// durability.
     pub fn new(opts: ServeOptions) -> Self {
-        let workers = if opts.workers != 0 {
-            opts.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        let cache = Arc::new(MemoCache::new());
-        let mut store = None;
-        let mut journal = None;
-        let mut memo_loaded = 0;
-        let mut state_error = None;
-        if let Some(dir) = &opts.state_dir {
-            match MemoStore::open(dir) {
-                Ok(s) => {
-                    // Load before attach, so replayed entries are not
-                    // re-journaled.
-                    memo_loaded = s.load_into(&cache).loaded;
-                    s.attach(&cache);
-                    store = Some(s);
-                }
-                Err(e) => state_error = Some(format!("memo store: {e}")),
-            }
-            match RequestJournal::open(dir) {
-                Ok(j) => journal = Some(j),
-                Err(e) => state_error = Some(format!("request journal: {e}")),
-            }
-        }
         Server {
+            workers: resolve_workers(opts.workers),
+            core: JobCore::open(opts.state_dir.as_deref(), REQUEST_WAL),
             opts,
-            workers,
-            cache,
-            store,
-            journal,
-            memo_loaded,
-            state_error,
             draining: AtomicBool::new(false),
             served: AtomicU64::new(0),
             busy: AtomicU64::new(0),
             refused_draining: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
-            persist_errors: AtomicU64::new(0),
         }
     }
 
-    /// Why the durable state failed to open, if it did (the daemon is
-    /// serving in-memory).
+    /// Why the durable state failed to open, if it did, naming every
+    /// part that failed (the daemon serves those parts in memory).
     pub fn state_error(&self) -> Option<&str> {
-        self.state_error.as_deref()
+        self.core.state_error()
     }
 
     fn queue_capacity(&self) -> usize {
@@ -353,7 +309,7 @@ impl Server {
     /// Current counters (what a `stats` response reports).
     fn stats_view(&self, queued: usize) -> StatsView {
         StatsView {
-            memo: self.cache.stats(),
+            memo: self.core.memo_stats(),
             queued,
             served: self.served.load(Ordering::Relaxed),
             busy: self.busy.load(Ordering::Relaxed),
@@ -362,22 +318,17 @@ impl Server {
     }
 
     fn summary(&self, wall: Duration) -> ServeSummary {
-        let journal_appended = self.journal.as_ref().map_or(0, |j| j.appended())
-            + self.store.as_ref().map_or(0, |s| s.appended());
-        let persist_errors = self.persist_errors.load(Ordering::Relaxed)
-            + self.journal.as_ref().map_or(0, |j| j.append_errors())
-            + self.store.as_ref().map_or(0, |s| s.append_errors());
         ServeSummary {
             served: self.served.load(Ordering::Relaxed),
             busy: self.busy.load(Ordering::Relaxed),
             refused_draining: self.refused_draining.load(Ordering::Relaxed),
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            memo: self.cache.stats(),
+            memo: self.core.memo_stats(),
             workers: self.workers,
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            memo_loaded: self.memo_loaded,
-            journal_appended,
-            persist_errors,
+            memo_loaded: self.core.memo_loaded(),
+            journal_appended: self.core.appended(),
+            persist_errors: self.core.persist_errors(),
             wall,
         }
     }
@@ -436,7 +387,7 @@ impl Server {
                 }
                 // Write-ahead: the admit record lands before the job can
                 // run, so a crash never loses an admitted request.
-                let fp = self.journal.as_ref().map(|journal| {
+                let fp = self.core.journal().map(|journal| {
                     let fp = request_fingerprint(line);
                     journal.admit(fp, line);
                     fp
@@ -475,41 +426,25 @@ impl Server {
     /// Appends a refused record for an admitted-then-shed request, so a
     /// resume does not re-execute work whose client got a typed refusal.
     fn journal_refused(&self, fp: Option<u128>) {
-        if let (Some(journal), Some(fp)) = (&self.journal, fp) {
+        if let (Some(journal), Some(fp)) = (self.core.journal(), fp) {
             journal.refused(fp);
         }
     }
 
-    /// Executes one job spec to a record — the shared core of the worker
-    /// loop and the resume replay. The job gets a fresh per-request
-    /// [`Budget`] (clock starts now) tightened by the request's own
-    /// allowance via [`Budget::child`] — the batch runner's
-    /// apportioning, at request granularity. A panicking job becomes one
-    /// `error` record.
+    /// Executes one job spec to a record — the worker loop's and the
+    /// resume replay's call into the job core. The job gets a fresh
+    /// per-request [`Budget`] (clock starts now) tightened by the
+    /// request's own allowance; loading and running happen inside the
+    /// core's panic boundary.
     fn run_spec(&self, spec: &JobSpec) -> JobRecord {
-        let allowance = match (self.opts.request_budget.cluster_conflicts, spec.budget) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let budget = Budget::new(&self.opts.request_budget).child(allowance);
-        catch_unwind(AssertUnwindSafe(|| {
+        let load = || {
             #[cfg(test)]
             test_panic_injection(spec);
-            let source = load_job_instance(spec);
-            execute_job(&spec.name, &source, &self.opts.eco, &budget, &self.cache)
-        }))
-        .unwrap_or_else(|_| JobRecord {
-            pass: 0,
-            index: 0,
-            name: spec.name.clone(),
-            status: JobStatus::Error,
-            targets: 0,
-            patches: 0,
-            cost: 0,
-            size: 0,
-            verified: false,
-            detail: "job worker panicked".into(),
-        })
+            load_job_instance(spec)
+        };
+        let budget = Budget::new(&self.opts.request_budget);
+        self.core
+            .run(&spec.name, load, &self.opts.eco, &budget, spec.budget)
     }
 
     /// One worker: pop admitted jobs until the queue closes and drains.
@@ -522,7 +457,7 @@ impl Server {
             faultpoint::stall("worker.stall", Duration::from_millis(5));
             let record = self.run_spec(&job.spec);
             let response = proto::run_response(&job.id, &record);
-            if let (Some(journal), Some(fp)) = (&self.journal, job.fp) {
+            if let (Some(journal), Some(fp)) = (self.core.journal(), job.fp) {
                 journal.done(fp, &response);
             }
             self.served.fetch_add(1, Ordering::Relaxed);
@@ -556,17 +491,12 @@ impl Server {
     }
 
     /// Durability checkpoint after a drained serve loop: compact the
-    /// memo store (snapshot + truncated journal) and truncate the
-    /// request WAL — once the worker scope has joined, every admitted
-    /// job's response has been journaled and written. Failures are
-    /// counted, never fatal.
+    /// memo store and truncate the request WAL — once the worker scope
+    /// has joined, every admitted job's response has been journaled and
+    /// written. Failures are counted, never fatal.
     fn checkpoint(&self) {
-        if let Some(store) = &self.store {
-            if store.snapshot(&self.cache).is_err() {
-                self.persist_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if let Some(journal) = &self.journal {
+        self.core.checkpoint();
+        if let Some(journal) = self.core.journal() {
             journal.reset();
         }
     }
@@ -584,12 +514,9 @@ impl Server {
     pub fn resume_from_journal(&self, out: &mut dyn Write) -> io::Result<ResumeReport> {
         let t0 = Instant::now();
         let mut report = ResumeReport::default();
-        let Some(dir) = self.opts.state_dir.clone() else {
-            return Ok(report);
-        };
-        let state = load_request_journal(&dir)?;
+        let state = self.core.load_journal()?;
         report.journal_records = state.log.records;
-        report.journal_skipped = state.log.skipped_frames + state.bad_records;
+        report.journal_skipped = state.skipped();
         for (fp, line) in &state.admits {
             if state.refused.contains(fp) {
                 continue; // the client already got a typed refusal
@@ -615,19 +542,20 @@ impl Server {
                 );
                 // Journaled as this request's final answer: a later
                 // resume replays the refusal instead of retrying.
-                if let Some(journal) = &self.journal {
+                if let Some(journal) = self.core.journal() {
                     journal.done(*fp, &refusal);
                 }
                 writeln!(out, "{refusal}")?;
                 report.quarantined += 1;
                 continue;
             }
-            if let Some(journal) = &self.journal {
+            let journal = self.core.journal();
+            if let Some(journal) = journal {
                 journal.attempt(*fp);
             }
             let record = self.run_spec(&spec);
             let response = proto::run_response(&id, &record);
-            if let Some(journal) = &self.journal {
+            if let Some(journal) = journal {
                 journal.done(*fp, &response);
             }
             self.served.fetch_add(1, Ordering::Relaxed);
@@ -844,6 +772,15 @@ mod tests {
     fn opts(workers: usize) -> ServeOptions {
         ServeOptions {
             workers,
+            ..ServeOptions::default()
+        }
+    }
+
+    /// One worker serving with durable state under `state_dir`.
+    fn state_opts(state_dir: &Path) -> ServeOptions {
+        ServeOptions {
+            workers: 1,
+            state_dir: Some(state_dir.to_path_buf()),
             ..ServeOptions::default()
         }
     }
@@ -1094,17 +1031,13 @@ mod tests {
         // journaled before the client saw it), job1 was admitted and
         // then the daemon died — no checkpoint ever ran.
         {
-            let journal = crate::journal::RequestJournal::open(&state_dir).unwrap();
+            let journal = eco_batch::Journal::open(&state_dir, REQUEST_WAL).unwrap();
             let fp0 = request_fingerprint(&line0);
             journal.admit(fp0, &line0);
             journal.done(fp0, reference[0]);
             journal.admit(request_fingerprint(&line1), &line1);
         }
-        let server = Server::new(ServeOptions {
-            workers: 1,
-            state_dir: Some(state_dir.clone()),
-            ..ServeOptions::default()
-        });
+        let server = Server::new(state_opts(&state_dir));
         let mut out = Vec::new();
         let report = server.resume_from_journal(&mut out).unwrap();
         assert_eq!(report.replayed, 1);
@@ -1118,11 +1051,7 @@ mod tests {
         );
         // A second resume replays both verbatim (the recomputation was
         // journaled as done) and recomputes nothing.
-        let server2 = Server::new(ServeOptions {
-            workers: 1,
-            state_dir: Some(state_dir),
-            ..ServeOptions::default()
-        });
+        let server2 = Server::new(state_opts(&state_dir));
         let mut out2 = Vec::new();
         let report2 = server2.resume_from_journal(&mut out2).unwrap();
         assert_eq!(report2.replayed, 2);
@@ -1140,17 +1069,13 @@ mod tests {
         let killer = r#"{"op": "run", "id": "k", "job": {"name": "killer", "faulty": "f.v", "golden": "g.v"}}"#;
         let fp = request_fingerprint(killer);
         {
-            let journal = crate::journal::RequestJournal::open(&state_dir).unwrap();
+            let journal = eco_batch::Journal::open(&state_dir, REQUEST_WAL).unwrap();
             journal.admit(fp, killer);
             for _ in 0..3 {
                 journal.attempt(fp); // three resumes died mid-attempt
             }
         }
-        let server = Server::new(ServeOptions {
-            workers: 1,
-            state_dir: Some(state_dir),
-            ..ServeOptions::default()
-        });
+        let server = Server::new(state_opts(&state_dir));
         let mut out = Vec::new();
         let report = server.resume_from_journal(&mut out).unwrap();
         assert_eq!(report.quarantined, 1);
@@ -1170,11 +1095,7 @@ mod tests {
         let state_dir = dir.join("state");
         let input = format!("{}\n", run_line(&dir, "a", "one"));
         let serve_with_state = || {
-            let server = Server::new(ServeOptions {
-                workers: 1,
-                state_dir: Some(state_dir.clone()),
-                ..ServeOptions::default()
-            });
+            let server = Server::new(state_opts(&state_dir));
             assert!(server.state_error().is_none(), "{:?}", server.state_error());
             let sink = SharedBuf::default();
             let summary = server.serve_reader(Cursor::new(input.clone()), Box::new(sink.clone()));
@@ -1191,6 +1112,56 @@ mod tests {
             "restarted daemon answers the repeat from the loaded store"
         );
         assert_eq!(out1, out2, "durability must not change response bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Torn records in the memo store are durability errors: a daemon
+    /// starting on a `memo.wal` cut mid-record reports them, just as a
+    /// batch run on the same state directory does.
+    #[test]
+    fn torn_memo_wal_counts_as_a_persist_error() {
+        let dir = case_dir("torn_memo");
+        let state_dir = dir.join("state");
+        let input = format!("{}\n", run_line(&dir, "a", "one"));
+        // A daemon killed before its checkpoint: the memo entries exist
+        // only in memo.wal.
+        {
+            let server = Server::new(state_opts(&state_dir));
+            let queue = BoundedQueue::new(4);
+            let conn = Arc::new(ConnOut::new(Box::new(io::sink())));
+            server.handle_line(input.trim(), 0, &conn, &queue);
+            queue.close();
+            server.worker_loop(&queue);
+        }
+        let wal = state_dir.join("memo.wal");
+        let len = std::fs::metadata(&wal).unwrap().len();
+        assert!(len > 16, "the run journaled memo entries");
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&wal)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let server = Server::new(state_opts(&state_dir));
+        let summary = server.serve_reader(Cursor::new(input), Box::new(io::sink()));
+        assert_eq!(summary.served, 1);
+        assert!(summary.persist_errors >= 1, "{summary:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A state directory where both the memo store and the journal fail
+    /// to open reports both failures, not just the last one.
+    #[test]
+    fn state_error_names_every_part_that_failed() {
+        let dir = case_dir("state_file");
+        let not_a_dir = dir.join("state");
+        std::fs::write(&not_a_dir, "a regular file").unwrap();
+        let server = Server::new(state_opts(&not_a_dir));
+        let err = server.state_error().expect("state must fail to open");
+        assert!(err.contains("memo store"), "{err}");
+        assert!(err.contains("journal"), "{err}");
+        let summary = server.serve_reader(Cursor::new(String::new()), Box::new(io::sink()));
+        assert_eq!(summary.persist_errors, 2, "both failures are counted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

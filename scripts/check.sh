@@ -23,7 +23,10 @@
 # eco-workgen, runs it cold then warm through eco-batch over one shared
 # memo cache (--repeat 2), and asserts every job is proven equivalent,
 # the warm pass reports nonzero cache hits, and the JSONL report is
-# byte-identical for --jobs 1 vs --jobs 4. Cold/warm wall times are
+# byte-identical for --jobs 1 vs --jobs 4. A journal leg then runs the
+# manifest with --journal and again with --resume on the same state
+# directory: the resumed report must replay all 12 jobs and be
+# byte-identical to the uninterrupted one. Cold/warm wall times are
 # recorded in crates/bench/BENCH_batch.json.
 #
 # --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
@@ -295,6 +298,20 @@ if [ "$batch_smoke" -eq 1 ]; then
   [ "$rc" -eq 0 ] || { echo "batch smoke: --jobs 4 run failed ($rc)"; cat "$btmp/stderr.txt"; exit 1; }
   cmp -s "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" \
     || { echo "batch smoke: JSONL differs between --jobs 1 and --jobs 4"; diff "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" || true; exit 1; }
+
+  # Journal leg: a journaled run, then --resume over the same state
+  # directory, which must replay every job from the journal and
+  # reproduce the uninterrupted report byte for byte.
+  run_batch --jobs 4 --journal "$btmp/state" --report "$btmp/report_journal.jsonl" -q
+  [ "$rc" -eq 0 ] || { echo "batch smoke: --journal run failed ($rc)"; cat "$btmp/stderr.txt"; exit 1; }
+  run_batch --jobs 4 --journal "$btmp/state" --resume --report "$btmp/report_resumed.jsonl"
+  [ "$rc" -eq 0 ] || { echo "batch smoke: --resume run failed ($rc)"; cat "$btmp/stderr.txt"; exit 1; }
+  for report in report_journal report_resumed; do
+    cmp -s "$btmp/report_j1.jsonl" "$btmp/$report.jsonl" \
+      || { echo "batch smoke: $report.jsonl differs from the uninterrupted report"; diff "$btmp/report_j1.jsonl" "$btmp/$report.jsonl" || true; exit 1; }
+  done
+  grep -q '^journal: 12 replayed,' "$btmp/stderr.txt" \
+    || { echo "batch smoke: --resume did not replay all 12 jobs"; cat "$btmp/stderr.txt"; exit 1; }
 
   # Record cold-vs-warm wall times for the tracked bench file.
   cat > crates/bench/BENCH_batch.json <<EOF

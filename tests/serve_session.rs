@@ -15,8 +15,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use eco::serve::{request_fingerprint, RequestJournal, ServeOptions, Server};
-use eco::workgen::{contest_suite, request_stream, write_unit, ManifestEntry, SuiteUnit};
+use eco::batch::json::{self, Value};
+use eco::batch::{
+    load_jobs, records_jsonl, request_fingerprint, run_batch, BatchOptions, Journal, Manifest,
+    REQUEST_WAL,
+};
+use eco::serve::{ServeOptions, Server};
+use eco::workgen::{
+    contest_suite, manifest_toml, request_stream, write_unit, ManifestEntry, SuiteUnit,
+};
 
 /// Small, fast suite units (skips the difficult datapath ones).
 fn fast_units(n: usize) -> Vec<SuiteUnit> {
@@ -92,6 +99,60 @@ fn responses_are_byte_identical_across_worker_counts() {
     for line in outputs[0].lines() {
         assert!(line.contains("\"status\": \"complete\""), "{line}");
         assert!(line.contains("\"verified\": true"), "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The per-job outcome fields both front-ends report, from one JSON
+/// line (a batch record or a run response).
+fn outcome(line: &str) -> Vec<String> {
+    let Ok(Value::Obj(fields)) = json::parse(line) else {
+        panic!("not a JSON object: {line}");
+    };
+    let keys = [
+        "name", "status", "targets", "patches", "cost", "size", "verified",
+    ];
+    keys.iter()
+        .map(|key| match fields.iter().find(|(k, _)| k == key) {
+            Some((_, value)) => value.to_string(),
+            None => panic!("missing `{key}`: {line}"),
+        })
+        .collect()
+}
+
+/// eco-batch and eco-serve run jobs through one job core, so the same
+/// job set gives the same per-job outcome through either front-end,
+/// whatever the worker count.
+#[test]
+fn batch_and_serve_front_ends_give_the_same_records() {
+    let dir = temp_dir("parity");
+    let entries: Vec<ManifestEntry> = fast_units(4)
+        .iter()
+        .map(|u| write_unit(&dir, u).expect("emit unit"))
+        .collect();
+    let manifest_path = dir.join("manifest.toml");
+    std::fs::write(&manifest_path, manifest_toml(&entries)).expect("write manifest");
+    let jobs = load_jobs(&Manifest::load(&manifest_path).expect("load manifest"));
+    let stream = request_stream(&dir, &entries);
+    for workers in [1, 2] {
+        let batch = run_batch(
+            &jobs,
+            &BatchOptions {
+                jobs: workers,
+                ..BatchOptions::default()
+            },
+        );
+        let batch: Vec<_> = records_jsonl(&batch.records).lines().map(outcome).collect();
+        let server = Server::new(ServeOptions {
+            workers,
+            ..ServeOptions::default()
+        });
+        let served: Vec<_> = serve_once(&server, &stream).lines().map(outcome).collect();
+        assert_eq!(batch.len(), 4, "workers={workers}");
+        assert!(batch
+            .iter()
+            .all(|o| o[1] == "\"complete\"" && o[6] == "true"));
+        assert_eq!(batch, served, "workers={workers}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -294,7 +355,7 @@ fn resume_after_kill_is_byte_identical_to_uninterrupted_run() {
     // admitted, the first two answered, plus a torn frame tail.
     let state = dir.join("state");
     {
-        let journal = RequestJournal::open(&state).expect("open journal");
+        let journal = Journal::open(&state, REQUEST_WAL).expect("open journal");
         for (i, req) in requests.iter().enumerate() {
             let fp = request_fingerprint(req);
             journal.admit(fp, req);
