@@ -136,14 +136,6 @@ pub fn stats_json(outcome: &BatchOutcome) -> String {
         .iter()
         .map(|d| format!("{:.6}", d.as_secs_f64()))
         .collect();
-    let memo = JsonObj::new()
-        .u64("hits", outcome.memo.hits)
-        .u64("misses", outcome.memo.misses)
-        .u64("insertions", outcome.memo.insertions)
-        .u64("evictions", outcome.memo.evictions)
-        .u64("fallbacks", outcome.memo.fallbacks)
-        .u64("entries", outcome.memo.entries)
-        .build();
     let obj = JsonObj::new()
         .u64("passes", outcome.pass_wall.len() as u64)
         .u64(
@@ -158,7 +150,7 @@ pub fn stats_json(outcome: &BatchOutcome) -> String {
         .u64("memo_loaded", outcome.memo_loaded)
         .u64("persist_errors", outcome.persist_errors)
         .arr("pass_wall_s", &walls)
-        .raw("memo", &memo);
+        .raw("memo", &outcome.memo.json());
     // Like the wall times, peak RSS is part of the non-deterministic
     // summary, never of the per-job records.
     let obj = match peak_rss_bytes() {
@@ -269,6 +261,7 @@ mod tests {
             "\"pass_wall_s\"",
             "\"memo\"",
             "\"hits\"",
+            "\"waits\"",
             "\"peak_rss_bytes\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

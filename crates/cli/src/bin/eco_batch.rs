@@ -167,8 +167,12 @@ fn run(args: &Args) -> Result<u8, String> {
             );
         }
         eprintln!(
-            "memo: {} hits, {} misses, {} fallbacks, {} entries",
-            outcome.memo.hits, outcome.memo.misses, outcome.memo.fallbacks, outcome.memo.entries
+            "memo: {} hits, {} misses, {} waits, {} fallbacks, {} entries",
+            outcome.memo.hits,
+            outcome.memo.misses,
+            outcome.memo.waits,
+            outcome.memo.fallbacks,
+            outcome.memo.entries
         );
         if args.journal.is_some() {
             eprintln!(

@@ -20,12 +20,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use eco_aig::{Aig, Lit, Var};
-use eco_fraig::{fraig_classes_memo, fraig_classes_stats, fraig_reduce, FraigOptions, SweepMemo};
+use eco_fraig::{fraig_classes_stats, fraig_reduce, sweep_fingerprint, FraigOptions};
 
 use crate::cluster::{cluster_targets, TargetCluster};
 use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport};
 use crate::localize::{Cut, CutSignal, TapMap};
-use crate::memo::{patch_memo_key, rect_memo_key, MemoCache};
+use crate::memo::{patch_memo_key, rect_memo_key, Lookup, MemoCache};
 use crate::optimize::{optimize_patches_governed, total_cost, OptimizeOptions};
 use crate::patchgen::{
     extract_patch_aig, generate_group_patches_governed, GroupPatches, PatchFn, PatchGenOptions,
@@ -280,7 +280,10 @@ impl EcoEngine {
     /// This is also where the [`EcoOptions::memo`] whole-instance lookup
     /// happens: a cached result is returned only after a fresh SAT miter
     /// re-verifies it against this engine's instance; a refuted entry is
-    /// counted as a fallback and the full pipeline runs instead.
+    /// counted as a fallback and the full pipeline runs instead. On a
+    /// miss this run leads the key: concurrent runs of the same instance
+    /// wait for it and take its result as a hit (single flight; see the
+    /// [`MemoCache`] module docs).
     ///
     /// [`run`]: EcoEngine::run
     ///
@@ -294,24 +297,32 @@ impl EcoEngine {
             .options
             .memo
             .as_deref()
-            .filter(|_| budget.is_unlimited())
-            .map(|m| (m, patch_memo_key(&self.instance, &self.options)));
-        if let Some((cache, (key, check))) = memo {
-            if let Some(mut cached) = cache.lookup_patch(key, check) {
-                tel.add_memo_hit();
-                if self.reverify_patch(&cached, budget, &tel) {
-                    cached.telemetry = tel.snapshot();
-                    return Ok(EcoOutcome::Complete(cached));
+            .filter(|_| budget.is_unlimited());
+        let mut claim = None;
+        if let Some(cache) = memo {
+            let (key, check) = patch_memo_key(&self.instance, &self.options);
+            match cache.claim_patch(key, check) {
+                Lookup::Hit(mut cached) => {
+                    tel.add_memo_hit();
+                    if self.reverify_patch(&cached, budget, &tel) {
+                        cached.telemetry = tel.snapshot();
+                        return Ok(EcoOutcome::Complete(cached));
+                    }
+                    // Refuted: recompute without a claim, so the
+                    // poisoned entry never blocks a duplicate.
+                    cache.record_fallback();
+                    tel.add_memo_fallback();
                 }
-                cache.record_fallback();
-                tel.add_memo_fallback();
-            } else {
-                tel.add_memo_miss();
+                Lookup::Miss(lead) => {
+                    tel.add_memo_miss();
+                    claim = Some(lead);
+                }
             }
         }
+        // An error or a partial outcome drops the claim unstored.
         let outcome = self.run_attempts(budget, &tel)?;
-        if let (Some((cache, (key, check))), EcoOutcome::Complete(result)) = (memo, &outcome) {
-            cache.store_patch(key, check, result);
+        if let (Some(claim), EcoOutcome::Complete(result)) = (claim, &outcome) {
+            claim.store(result);
         }
         Ok(outcome)
     }
@@ -484,25 +495,30 @@ impl EcoEngine {
                 .options
                 .memo
                 .as_deref()
-                .filter(|_| budget.is_unlimited());
-            let classes = match memo {
-                Some(cache) => {
-                    let (classes, sweep, hit) =
-                        fraig_classes_memo(&sub.mgr, &fraig_opts, cache as &dyn SweepMemo);
-                    if hit {
-                        tel.add_memo_hit();
-                    } else {
-                        tel.add_memo_miss();
-                        tel.record_sweep(&sweep);
-                        meter.charge(sweep.sat.conflicts);
-                    }
+                .filter(|_| budget.is_unlimited() && fraig_opts.ctl.is_unlimited());
+            let classes = match memo.map(|cache| {
+                let (key, check) = sweep_fingerprint(&sub.mgr, &fraig_opts);
+                cache.claim_sweep(key, check)
+            }) {
+                Some(Lookup::Hit((classes, _))) => {
+                    tel.add_memo_hit();
                     classes
                 }
-                None => {
-                    let (classes, sweep) = fraig_classes_stats(&sub.mgr, &fraig_opts);
-                    tel.record_sweep(&sweep);
-                    meter.charge(sweep.sat.conflicts);
-                    classes
+                lookup => {
+                    let claim = match lookup {
+                        Some(Lookup::Miss(lead)) => {
+                            tel.add_memo_miss();
+                            Some(lead)
+                        }
+                        _ => None,
+                    };
+                    let swept = fraig_classes_stats(&sub.mgr, &fraig_opts);
+                    tel.record_sweep(&swept.1);
+                    meter.charge(swept.1.sat.conflicts);
+                    if let Some(claim) = claim {
+                        claim.store(&swept);
+                    }
+                    swept.0
                 }
             };
             TapMap::build(&sub, &classes)
@@ -558,17 +574,17 @@ impl EcoEngine {
             // the flow byte-identical to a fresh run.
             let mut scratch = Workspace::new(&self.instance);
             let memo = opts.memo.as_deref().filter(|_| budget.is_unlimited());
-            let memo = memo.map(|m| (m, rect_memo_key(&self.instance, opts)));
-            let mut verdict = None;
-            if let Some((cache, (key, check))) = memo {
-                match cache.lookup_rect(key, check) {
-                    Some(Rectifiability::Rectifiable) => {
+            let (mut verdict, mut claim) = (None, None);
+            if let Some(cache) = memo {
+                let (key, check) = rect_memo_key(&self.instance, opts);
+                match cache.claim_rect(key, check) {
+                    Lookup::Hit(Rectifiability::Rectifiable) => {
                         // Trusted as-is: a wrong `Rectifiable` only delays
                         // failure to the (always fresh) final verification.
                         tel.add_memo_hit();
                         verdict = Some(Rectifiability::Rectifiable);
                     }
-                    Some(Rectifiability::Counterexample(cex)) => {
+                    Lookup::Hit(Rectifiability::Counterexample(cex)) => {
                         // Audit the claimed universal counterexample with
                         // one cheap B-check before declaring defeat.
                         tel.add_memo_hit();
@@ -586,7 +602,12 @@ impl EcoEngine {
                             tel.add_memo_fallback();
                         }
                     }
-                    _ => tel.add_memo_miss(),
+                    // `Unknown` is never stored; a hit on it is a miss.
+                    Lookup::Hit(Rectifiability::Unknown) => tel.add_memo_miss(),
+                    Lookup::Miss(lead) => {
+                        tel.add_memo_miss();
+                        claim = Some(lead);
+                    }
                 }
             }
             let verdict = match verdict {
@@ -599,10 +620,9 @@ impl EcoEngine {
                         &budget.ctl(),
                         tel,
                     );
-                    if let Some((cache, (key, check))) = memo {
-                        if !matches!(v, Rectifiability::Unknown) {
-                            cache.store_rect(key, check, &v);
-                        }
+                    // `Unknown` drops the claim unstored.
+                    if let Some(claim) = claim.filter(|_| !matches!(v, Rectifiability::Unknown)) {
+                        claim.store(&v);
                     }
                     v
                 }

@@ -9,13 +9,48 @@
 //! ([`eco_aig::Aig::structural_fingerprint`]) of the inputs plus every
 //! option knob that can change the output.
 //!
+//! # Single flight
+//!
+//! Each key is computed at most once at a time. The first claimant of a
+//! missing key is its **leader**: [`MemoCache::claim_patch`] (and its
+//! rect and sweep siblings) returns [`Lookup::Miss`] with an RAII
+//! [`Claim`], registered in the key's shard next to the map. A later
+//! claimant of the same in-flight key is a **waiter**: it blocks on the
+//! shard's condvar and, once the claim ends, looks again. The leader's
+//! stored value is then an ordinary hit, re-checked exactly like any
+//! other (the patch by a fresh SAT miter, a counterexample by its
+//! [`crate::check_rect_cex`] audit). A **failed leader** — one that
+//! returns an error, `Partial`, or `Unknown`, or panics — drops its claim
+//! without storing; the drop wakes the waiters and the first to look
+//! again becomes the next leader and computes for itself, so nobody
+//! hangs. A hit holds no claim: a thread whose hit is refuted recomputes
+//! without one, so a poisoned entry never blocks its duplicates.
+//!
+//! A hit costs one shard lock: only a miss registers a claim, and only
+//! the end of a claim notifies.
+//!
+//! **Why it cannot deadlock.** A waiter holds no shard lock while it
+//! waits (the condvar releases it), so only claims can form a cycle.
+//! Claims nest in one direction: a patch leader (`EcoEngine::run_governed`)
+//! takes rect claims (the precheck) and sweep claims (per cluster) while
+//! it computes, and never the reverse. A thread holding a rect or sweep
+//! claim runs a memo-free computation (`check_rectifiable`, one FRAIG
+//! sweep) and never waits on any key. Every waits-for edge therefore
+//! ends at a thread that waits on nothing, and such a thread finishes
+//! or unwinds, dropping its claim, on its own.
+//!
 //! # Determinism
 //!
-//! Whether a lookup hits depends on scheduling (which job got there
-//! first), so hits must never change *what* is computed, only *when*.
-//! Every memoized granularity is therefore a pure function of its key:
-//! a hit returns exactly the value a fresh computation would produce, and
-//! results are byte-identical whatever the hit/miss interleaving.
+//! Whether a lookup hits does not depend on scheduling. Every key is
+//! computed by one leader and every later claimant — waiter or
+//! latecomer — takes its stored value as a hit, so for a given job list
+//! the `hits`, `misses` and `insertions` counters are the same for any
+//! worker count or interleaving (`tests/determinism.rs` checks this at
+//! 1, 2 and 4 workers). Only `waits`, which counts the lookups that
+//! found their key in flight, depends on timing. Hits still never change
+//! *what* is computed: every memoized granularity is a pure function of
+//! its key, so a hit returns exactly the value a fresh computation would
+//! produce and results are byte-identical whatever the interleaving.
 //!
 //! # Soundness
 //!
@@ -41,10 +76,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use eco_aig::FpHasher;
-use eco_fraig::{EquivClasses, SweepMemo, SweepStats};
+use eco_fraig::{EquivClasses, SweepStats};
 
 use crate::engine::{EcoOptions, EcoResult};
 use crate::instance::EcoInstance;
@@ -82,6 +117,16 @@ pub(crate) enum Entry {
 struct Shard {
     map: HashMap<u128, Entry>,
     order: VecDeque<u128>,
+    /// Keys whose leader holds a [`Claim`] (a handful at most: one per
+    /// worker and nesting level).
+    in_flight: Vec<u128>,
+}
+
+/// One lock stripe: the shard and the condvar its waiters block on.
+#[derive(Debug, Default)]
+struct Stripe {
+    shard: Mutex<Shard>,
+    released: Condvar,
 }
 
 /// Crate-internal observer of cache insertions — the hook the durable
@@ -118,8 +163,11 @@ impl std::fmt::Debug for SinkSlot {
 pub struct MemoStats {
     /// Lookups that returned a value (kind and check digest matched).
     pub hits: u64,
-    /// Lookups that found nothing usable.
+    /// Lookups that found nothing usable (each one became a leader).
     pub misses: u64,
+    /// Lookups that blocked on an in-flight leader before they hit or
+    /// missed. The only counter that depends on scheduling.
+    pub waits: u64,
     /// Entries stored.
     pub insertions: u64,
     /// Entries evicted by the FIFO capacity bound.
@@ -130,15 +178,94 @@ pub struct MemoStats {
     pub entries: u64,
 }
 
-/// Sharded, lock-striped memo cache shared across the jobs of a batch run
-/// (see the [module docs](self) for the determinism and soundness
-/// contracts).
+impl MemoStats {
+    /// The counters as one JSON object, the `"memo"` value of
+    /// `eco-batch --stats=json` and of the eco-serve `stats` op and
+    /// summary.
+    pub fn json(&self) -> String {
+        crate::JsonObj::new()
+            .u64("hits", self.hits)
+            .u64("misses", self.misses)
+            .u64("waits", self.waits)
+            .u64("insertions", self.insertions)
+            .u64("evictions", self.evictions)
+            .u64("fallbacks", self.fallbacks)
+            .u64("entries", self.entries)
+            .build()
+    }
+}
+
+/// What a claim on a key found: the stored value, or the leadership.
+#[derive(Debug)]
+pub enum Lookup<'a, T> {
+    /// A stored value (possibly one a leader stored while this claimant
+    /// waited). The caller re-checks it as the [module docs](self) say.
+    Hit(T),
+    /// Nothing usable: the caller leads this key and should compute it,
+    /// then [`Claim::store`] the result or drop the claim.
+    Miss(Claim<'a, T>),
+}
+
+/// The leadership of one in-flight key. Claimants of the same key wait
+/// until it ends; dropping it without [`Claim::store`] (an error, a
+/// partial result, a panic) wakes them to compute for themselves.
+#[must_use = "dropping a claim without storing abandons the computation"]
+pub struct Claim<'a, T> {
+    cache: &'a MemoCache,
+    key: u128,
+    check: u128,
+    wrap: fn(u128, &T) -> Entry,
+}
+
+impl<T> std::fmt::Debug for Claim<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Claim").field("key", &self.key).finish()
+    }
+}
+
+impl<T> Claim<'_, T> {
+    /// Stores the computed value under the claimed key, then ends the
+    /// claim, waking every waiter to take the value as a hit.
+    pub fn store(self, value: &T) {
+        self.cache.store(self.key, (self.wrap)(self.check, value));
+    }
+}
+
+impl<T> Drop for Claim<'_, T> {
+    fn drop(&mut self) {
+        let stripe = self.cache.stripe(self.key);
+        {
+            let mut shard = lock(stripe);
+            if let Some(i) = shard.in_flight.iter().position(|&k| k == self.key) {
+                shard.in_flight.swap_remove(i);
+            }
+        }
+        stripe.released.notify_all();
+    }
+}
+
+/// Locks a shard, recovering from poisoning: a job thread that panicked
+/// while holding the stripe (e.g. mid-`clone` of a cached value) must
+/// degrade that shard to recompute-on-mismatch for its siblings, not
+/// abort the whole batch or daemon. The shard data is a plain map, FIFO
+/// order list and in-flight list whose invariants hold at every point a
+/// panic can unwind through, and every returned entry is still guarded
+/// by its `check` digest and downstream SAT re-verification, so
+/// recovered reads stay sound.
+fn lock(stripe: &Stripe) -> MutexGuard<'_, Shard> {
+    stripe.shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sharded, lock-striped, single-flight memo cache shared across the jobs
+/// of a batch run (see the [module docs](self) for the single-flight,
+/// determinism and soundness contracts).
 #[derive(Debug)]
 pub struct MemoCache {
-    shards: Vec<Mutex<Shard>>,
+    stripes: Vec<Stripe>,
     shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+    waits: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
     fallbacks: AtomicU64,
@@ -161,10 +288,11 @@ impl MemoCache {
     /// (16 shards; oldest entries evicted first).
     pub fn with_shard_capacity(capacity: usize) -> Self {
         MemoCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            stripes: (0..SHARDS).map(|_| Stripe::default()).collect(),
             shard_capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            waits: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -190,8 +318,8 @@ impl MemoCache {
     /// durable store's snapshot source.
     pub(crate) fn export_entries(&self) -> Vec<(u128, Entry)> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        for stripe in &self.stripes {
+            let shard = lock(stripe);
             for key in &shard.order {
                 if let Some(entry) = shard.map.get(key) {
                     out.push((*key, entry.clone()));
@@ -201,31 +329,57 @@ impl MemoCache {
         out
     }
 
-    /// Locks a shard, recovering from poisoning: a job thread that
-    /// panicked while holding the stripe (e.g. mid-`clone` of a cached
-    /// value) must degrade that shard to recompute-on-mismatch for its
-    /// siblings, not abort the whole batch or daemon. The shard data is
-    /// a plain map + FIFO order list whose invariants hold at every
-    /// point a panic can unwind through, and every returned entry is
-    /// still guarded by its `check` digest and downstream SAT
-    /// re-verification, so recovered reads stay sound.
-    fn lock_shard(&self, key: u128) -> MutexGuard<'_, Shard> {
-        self.shards[(key as usize) & (SHARDS - 1)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn stripe(&self, key: u128) -> &Stripe {
+        &self.stripes[(key as usize) & (SHARDS - 1)]
     }
 
-    fn lookup<T>(&self, key: u128, extract: impl FnOnce(&Entry) -> Option<T>) -> Option<T> {
-        let out = {
-            let shard = self.lock_shard(key);
-            shard.map.get(&key).and_then(extract)
+    /// The single-flight lookup behind the three `claim_*` methods: a
+    /// usable entry is a hit; otherwise the caller becomes the key's
+    /// leader, unless another leader holds it, in which case the caller
+    /// waits for that claim to end and looks again.
+    fn claim<T>(
+        &self,
+        key: u128,
+        check: u128,
+        extract: impl Fn(&Entry) -> Option<T>,
+        wrap: fn(u128, &T) -> Entry,
+    ) -> Lookup<'_, T> {
+        let stripe = self.stripe(key);
+        let mut shard = lock(stripe);
+        let mut waited = false;
+        let hit = loop {
+            if let Some(value) = shard.map.get(&key).and_then(&extract) {
+                break Some(value);
+            }
+            if !shard.in_flight.contains(&key) {
+                shard.in_flight.push(key);
+                break None;
+            }
+            if !waited {
+                waited = true;
+                self.waits.fetch_add(1, Ordering::Relaxed);
+            }
+            shard = stripe
+                .released
+                .wait(shard)
+                .unwrap_or_else(PoisonError::into_inner);
         };
-        if out.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        drop(shard);
+        match hit {
+            Some(value) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Lookup::Hit(value)
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Lookup::Miss(Claim {
+                    cache: self,
+                    key,
+                    check,
+                    wrap,
+                })
+            }
         }
-        out
     }
 
     fn store(&self, key: u128, entry: Entry) {
@@ -234,7 +388,7 @@ impl MemoCache {
         // run under the shard lock.
         let encoded = self.sink.0.get().and_then(|sink| sink.encode(key, &entry));
         {
-            let mut shard = self.lock_shard(key);
+            let mut shard = lock(self.stripe(key));
             if shard.map.contains_key(&key) {
                 // First write wins: the value is a pure function of the
                 // key, so a concurrent duplicate carries the same data
@@ -256,45 +410,71 @@ impl MemoCache {
         }
     }
 
-    /// Returns the memoized complete result for an instance key, if any.
-    /// The caller **must** re-verify it against the live instance before
-    /// trusting it (and call [`MemoCache::record_fallback`] when refuted).
-    pub fn lookup_patch(&self, key: u128, check: u128) -> Option<EcoResult> {
-        self.lookup(key, |e| match e {
-            Entry::Patch { check: c, result } if *c == check => Some((**result).clone()),
-            _ => None,
-        })
-    }
-
-    /// Stores a complete, verified result under an instance key.
-    pub fn store_patch(&self, key: u128, check: u128, result: &EcoResult) {
-        // Telemetry describes the producing run, not the value; strip it
-        // so hits report their own (fresh) telemetry.
-        let mut result = Box::new(result.clone());
-        result.telemetry = Default::default();
-        self.store(key, Entry::Patch { check, result });
-    }
-
-    /// Returns the memoized rectifiability verdict for an instance key.
-    /// `Counterexample` verdicts must be audited via
-    /// [`crate::check_rect_cex`] before use.
-    pub fn lookup_rect(&self, key: u128, check: u128) -> Option<Rectifiability> {
-        self.lookup(key, |e| match e {
-            Entry::Rect { check: c, verdict } if *c == check => Some(verdict.clone()),
-            _ => None,
-        })
-    }
-
-    /// Stores a decided (never `Unknown`) rectifiability verdict.
-    pub fn store_rect(&self, key: u128, check: u128, verdict: &Rectifiability) {
-        debug_assert!(!matches!(verdict, Rectifiability::Unknown));
-        self.store(
+    /// Claims the complete result for an instance key. A hit **must** be
+    /// re-verified against the live instance before it is trusted (and
+    /// [`MemoCache::record_fallback`] called when it is refuted); a miss
+    /// stores only a complete, verified result.
+    pub fn claim_patch(&self, key: u128, check: u128) -> Lookup<'_, EcoResult> {
+        self.claim(
             key,
-            Entry::Rect {
-                check,
-                verdict: verdict.clone(),
+            check,
+            |e| match e {
+                Entry::Patch { check: c, result } if *c == check => Some((**result).clone()),
+                _ => None,
             },
-        );
+            |check, result| {
+                // Telemetry describes the producing run, not the value;
+                // strip it so hits report their own (fresh) telemetry.
+                let mut result = Box::new(result.clone());
+                result.telemetry = Default::default();
+                Entry::Patch { check, result }
+            },
+        )
+    }
+
+    /// Claims the rectifiability verdict for an instance key. A
+    /// `Counterexample` hit must be audited via [`crate::check_rect_cex`]
+    /// before use; a miss stores only a decided (never `Unknown`) verdict.
+    pub fn claim_rect(&self, key: u128, check: u128) -> Lookup<'_, Rectifiability> {
+        self.claim(
+            key,
+            check,
+            |e| match e {
+                Entry::Rect { check: c, verdict } if *c == check => Some(verdict.clone()),
+                _ => None,
+            },
+            |check, verdict| {
+                debug_assert!(!matches!(verdict, Rectifiability::Unknown));
+                Entry::Rect {
+                    check,
+                    verdict: verdict.clone(),
+                }
+            },
+        )
+    }
+
+    /// Claims the result of one FRAIG sweep, keyed by
+    /// [`eco_fraig::sweep_fingerprint`]. The sweep is deterministic in
+    /// its key, so a hit is byte-for-byte what a fresh sweep computes; a
+    /// miss stores only an unlimited (never `ctl`-cancelled) sweep.
+    pub fn claim_sweep(&self, key: u128, check: u128) -> Lookup<'_, (EquivClasses, SweepStats)> {
+        self.claim(
+            key,
+            check,
+            |e| match e {
+                Entry::Sweep {
+                    check: c,
+                    classes,
+                    stats,
+                } if *c == check => Some(((**classes).clone(), *stats)),
+                _ => None,
+            },
+            |check, (classes, stats)| Entry::Sweep {
+                check,
+                classes: Box::new(classes.clone()),
+                stats: *stats,
+            },
+        )
     }
 
     /// Counts a hit that revalidation refuted (the caller fell back to the
@@ -305,43 +485,16 @@ impl MemoCache {
 
     /// Snapshot of the cache's counters.
     pub fn stats(&self) -> MemoStats {
-        let entries: usize = self
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum();
+        let entries: usize = self.stripes.iter().map(|s| lock(s).map.len()).sum();
         MemoStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            waits: self.waits.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             entries: entries as u64,
         }
-    }
-}
-
-impl SweepMemo for MemoCache {
-    fn lookup_sweep(&self, key: u128, check: u128) -> Option<(EquivClasses, SweepStats)> {
-        self.lookup(key, |e| match e {
-            Entry::Sweep {
-                check: c,
-                classes,
-                stats,
-            } if *c == check => Some(((**classes).clone(), *stats)),
-            _ => None,
-        })
-    }
-
-    fn store_sweep(&self, key: u128, check: u128, classes: &EquivClasses, stats: &SweepStats) {
-        self.store(
-            key,
-            Entry::Sweep {
-                check,
-                classes: Box::new(classes.clone()),
-                stats: *stats,
-            },
-        );
     }
 }
 
@@ -408,9 +561,30 @@ pub fn rect_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
 }
 
 #[cfg(test)]
+impl<T> Lookup<'_, T> {
+    /// The hit's value; a miss drops its claim.
+    pub(crate) fn hit(self) -> Option<T> {
+        match self {
+            Lookup::Hit(value) => Some(value),
+            Lookup::Miss(_) => None,
+        }
+    }
+
+    /// Stores `value` if this was a miss.
+    pub(crate) fn fill(self, value: &T) {
+        if let Lookup::Miss(claim) = self {
+            claim.store(value);
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use eco_netlist::{parse_verilog, WeightTable};
+    use std::sync::{mpsc, Barrier};
+    use std::thread;
+    use std::time::Duration;
 
     fn instance(name: &str, targets: &[&str]) -> EcoInstance {
         EcoInstance::from_netlists(
@@ -430,6 +604,8 @@ mod tests {
         )
         .expect("instance")
     }
+
+    const OK: Rectifiability = Rectifiability::Rectifiable;
 
     #[test]
     fn keys_ignore_name_but_cover_options() {
@@ -458,26 +634,31 @@ mod tests {
     #[test]
     fn check_digest_guards_against_key_collisions() {
         let cache = MemoCache::new();
-        cache.store_rect(7, 100, &Rectifiability::Rectifiable);
-        assert_eq!(cache.lookup_rect(7, 100), Some(Rectifiability::Rectifiable));
-        assert_eq!(cache.lookup_rect(7, 999), None, "check mismatch is a miss");
-        assert_eq!(cache.lookup_rect(8, 100), None);
+        cache.claim_rect(7, 100).fill(&OK);
+        assert_eq!(cache.claim_rect(7, 100).hit(), Some(OK));
+        assert_eq!(
+            cache.claim_rect(7, 999).hit(),
+            None,
+            "check mismatch is a miss"
+        );
+        assert_eq!(cache.claim_rect(8, 100).hit(), None);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.misses, 3);
         assert_eq!(stats.insertions, 1);
         assert_eq!(stats.entries, 1);
+        assert_eq!(stats.waits, 0);
     }
 
     #[test]
     fn kinds_never_alias_even_on_equal_keys() {
         let cache = MemoCache::new();
-        cache.store_rect(42, 1, &Rectifiability::Rectifiable);
+        cache.claim_rect(42, 1).fill(&OK);
         assert!(
-            cache.lookup_sweep(42, 1).is_none(),
+            cache.claim_sweep(42, 1).hit().is_none(),
             "a rect entry must not satisfy a sweep lookup"
         );
-        assert!(cache.lookup_patch(42, 1).is_none());
+        assert!(cache.claim_patch(42, 1).hit().is_none());
     }
 
     #[test]
@@ -485,11 +666,14 @@ mod tests {
         let cache = MemoCache::with_shard_capacity(2);
         // Keys 0, 16, 32, 48 all land in shard 0.
         for k in [0u128, 16, 32] {
-            cache.store_rect(k, 1, &Rectifiability::Rectifiable);
+            cache.claim_rect(k, 1).fill(&OK);
         }
-        assert!(cache.lookup_rect(0, 1).is_none(), "oldest entry evicted");
-        assert!(cache.lookup_rect(16, 1).is_some());
-        assert!(cache.lookup_rect(32, 1).is_some());
+        assert!(
+            cache.claim_rect(0, 1).hit().is_none(),
+            "oldest entry evicted"
+        );
+        assert!(cache.claim_rect(16, 1).hit().is_some());
+        assert!(cache.claim_rect(32, 1).hit().is_some());
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
@@ -502,49 +686,114 @@ mod tests {
     #[test]
     fn poisoned_shard_degrades_to_recompute_instead_of_panicking() {
         let cache = MemoCache::new();
-        cache.store_rect(0, 1, &Rectifiability::Rectifiable);
+        cache.claim_rect(0, 1).fill(&OK);
         // Poison shard 0 the way a dying worker would: panic while the
         // stripe is held.
-        let _ = std::thread::scope(|s| {
+        let _ = thread::scope(|s| {
             s.spawn(|| {
-                let _guard = cache.shards[0].lock().unwrap();
+                let _guard = cache.stripes[0].shard.lock().unwrap();
                 panic!("worker dies holding the memo shard");
             })
             .join()
         });
         assert!(
-            cache.shards[0].lock().is_err(),
+            cache.stripes[0].shard.lock().is_err(),
             "the shard must actually be poisoned"
         );
         // Every operation on the poisoned shard still works.
-        assert_eq!(cache.lookup_rect(0, 1), Some(Rectifiability::Rectifiable));
-        assert_eq!(cache.lookup_rect(16, 1), None, "miss degrades cleanly");
-        cache.store_rect(16, 1, &Rectifiability::Rectifiable);
-        assert_eq!(cache.lookup_rect(16, 1), Some(Rectifiability::Rectifiable));
+        assert_eq!(cache.claim_rect(0, 1).hit(), Some(OK));
+        assert_eq!(cache.claim_rect(16, 1).hit(), None, "miss degrades cleanly");
+        cache.claim_rect(16, 1).fill(&OK);
+        assert_eq!(cache.claim_rect(16, 1).hit(), Some(OK));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
     }
 
+    /// Every key has exactly one leader however the threads interleave:
+    /// misses and insertions equal the key count.
     #[test]
-    fn concurrent_store_and_lookup_is_safe() {
+    fn concurrent_claims_have_one_leader_per_key() {
         let cache = MemoCache::new();
-        std::thread::scope(|s| {
+        thread::scope(|s| {
             for t in 0..4u64 {
                 let cache = &cache;
                 s.spawn(move || {
                     for i in 0..200u64 {
                         let key = u128::from(i % 32);
-                        cache.store_rect(key, 5, &Rectifiability::Rectifiable);
-                        assert_eq!(
-                            cache.lookup_rect(key, 5),
-                            Some(Rectifiability::Rectifiable),
-                            "thread {t}"
-                        );
+                        cache.claim_rect(key, 5).fill(&OK);
+                        assert_eq!(cache.claim_rect(key, 5).hit(), Some(OK), "thread {t}");
                     }
                 });
             }
         });
-        assert_eq!(cache.stats().entries, 32);
-        assert_eq!(cache.stats().insertions, 32, "first write wins");
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 32);
+        assert_eq!(stats.insertions, 32);
+        assert_eq!(stats.misses, 32, "single flight: one leader per key");
+        assert_eq!(stats.hits, 2 * 4 * 200 - 32);
+    }
+
+    /// A leader claims key 3; once a second thread is blocked on it, the
+    /// leader ends its claim with `finish`. Returns what the waiter's
+    /// claim found and the counters, and fails instead of hanging if the
+    /// waiter is never woken.
+    fn leader_then(finish: fn(Claim<'_, Rectifiability>)) -> (Option<Rectifiability>, MemoStats) {
+        let cache = Arc::new(MemoCache::new());
+        let barrier = Arc::new(Barrier::new(2));
+        let leader = {
+            let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
+            thread::spawn(move || {
+                let Lookup::Miss(claim) = cache.claim_rect(3, 4) else {
+                    panic!("a cold cache misses");
+                };
+                barrier.wait();
+                while cache.stats().waits == 0 {
+                    thread::yield_now();
+                }
+                finish(claim);
+            })
+        };
+        let (tx, rx) = mpsc::channel();
+        {
+            let cache = Arc::clone(&cache);
+            thread::spawn(move || {
+                barrier.wait();
+                let _ = tx.send(cache.claim_rect(3, 4).hit());
+            });
+        }
+        let found = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the waiter must be woken when the claim ends");
+        let _ = leader.join();
+        (found, cache.stats())
+    }
+
+    #[test]
+    fn waiter_computes_for_itself_when_the_leader_panics() {
+        let (found, stats) = leader_then(|claim| {
+            let _held = claim;
+            panic!("leader dies holding its claim");
+        });
+        assert_eq!(found, None, "the waiter leads the key next");
+        assert_eq!((stats.hits, stats.misses, stats.waits), (0, 2, 1));
+        assert_eq!(stats.insertions, 0);
+    }
+
+    /// `Partial`, `Unrectifiable` and `Unknown` outcomes drop the claim
+    /// without storing.
+    #[test]
+    fn waiter_computes_for_itself_when_the_leader_does_not_store() {
+        let (found, stats) = leader_then(|claim| drop(claim));
+        assert_eq!(found, None, "the waiter leads the key next");
+        assert_eq!((stats.hits, stats.misses, stats.waits), (0, 2, 1));
+        assert_eq!(stats.insertions, 0);
+    }
+
+    #[test]
+    fn waiter_takes_the_leaders_value_as_a_hit() {
+        let (found, stats) = leader_then(|claim| claim.store(&OK));
+        assert_eq!(found, Some(OK));
+        assert_eq!((stats.hits, stats.misses, stats.waits), (1, 1, 1));
+        assert_eq!(stats.insertions, 1);
     }
 }

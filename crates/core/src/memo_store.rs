@@ -291,7 +291,7 @@ pub(crate) fn encode_memo_entry(key: u128, entry: &Entry) -> Option<Vec<u8>> {
                         e.u8(u8::from(*value));
                     }
                 }
-                // Never stored (store_rect debug-asserts); skip defensively.
+                // Never stored (claim_rect debug-asserts); skip defensively.
                 Rectifiability::Unknown => return None,
             }
         }
@@ -382,7 +382,7 @@ pub(crate) fn decode_memo_entry(payload: &[u8]) -> Option<(u128, Entry)> {
                 interpolation_fallbacks,
                 optimize_delta,
                 // Telemetry describes a producing run, never a cached
-                // value; store_patch already strips it.
+                // value; claim_patch already strips it.
                 telemetry: Default::default(),
             };
             Some((
@@ -672,23 +672,24 @@ mod tests {
         let dir = tmpdir("rect");
         let store = MemoStore::open(&dir).expect("open");
         let cache = MemoCache::new();
-        cache.store_rect(11, 101, &Rectifiability::Rectifiable);
-        cache.store_rect(
-            12,
-            102,
-            &Rectifiability::Counterexample(vec![("a".into(), true), ("b".into(), false)]),
-        );
+        cache.claim_rect(11, 101).fill(&Rectifiability::Rectifiable);
+        cache
+            .claim_rect(12, 102)
+            .fill(&Rectifiability::Counterexample(vec![
+                ("a".into(), true),
+                ("b".into(), false),
+            ]));
         assert_eq!(store.snapshot(&cache).expect("snapshot"), 2);
         let fresh = MemoCache::new();
         let stats = store.load_into(&fresh);
         assert_eq!(stats.loaded, 2);
         assert_eq!(stats.skipped, 0);
         assert_eq!(
-            fresh.lookup_rect(11, 101),
+            fresh.claim_rect(11, 101).hit(),
             Some(Rectifiability::Rectifiable)
         );
         assert_eq!(
-            fresh.lookup_rect(12, 102),
+            fresh.claim_rect(12, 102).hit(),
             Some(Rectifiability::Counterexample(vec![
                 ("a".into(), true),
                 ("b".into(), false)
@@ -710,8 +711,8 @@ mod tests {
             let store = MemoStore::open(&dir).expect("open");
             let cache = MemoCache::new();
             store.attach(&cache);
-            cache.store_patch(key, check, &result);
-            cache.store_rect(5, 6, &Rectifiability::Rectifiable);
+            cache.claim_patch(key, check).fill(&result);
+            cache.claim_rect(5, 6).fill(&Rectifiability::Rectifiable);
             assert_eq!(store.appended(), 2);
             assert_eq!(store.append_errors(), 0);
             // No snapshot: simulate a crash (journal only).
@@ -720,7 +721,10 @@ mod tests {
         let cache = MemoCache::new();
         let stats = store.load_into(&cache);
         assert_eq!(stats.loaded, 2);
-        let cached = cache.lookup_patch(key, check).expect("patch recovered");
+        let cached = cache
+            .claim_patch(key, check)
+            .hit()
+            .expect("patch recovered");
         assert_eq!(cached.cost, result.cost);
         assert_eq!(cached.size, result.size);
         assert_eq!(cached.patches.len(), result.patches.len());
@@ -740,8 +744,7 @@ mod tests {
         let store = MemoStore::open(&dir).expect("open");
         let cache = MemoCache::new();
         store.attach(&cache);
-        use eco_fraig::SweepMemo;
-        cache.store_sweep(1, 2, &Default::default(), &Default::default());
+        cache.claim_sweep(1, 2).fill(&Default::default());
         assert_eq!(store.appended(), 0, "sweep inserts are not journaled");
         assert_eq!(store.snapshot(&cache).expect("snapshot"), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -770,7 +773,7 @@ mod tests {
         let store = MemoStore::open(&dir).expect("open");
         let cache = MemoCache::new();
         store.attach(&cache);
-        cache.store_rect(1, 2, &Rectifiability::Rectifiable);
+        cache.claim_rect(1, 2).fill(&Rectifiability::Rectifiable);
         assert_eq!(store.appended(), 1);
         store.snapshot(&cache).expect("snapshot");
         let (wal_records, _) = read_log(&dir.join("memo.wal"), &MEMO_MAGIC).expect("read");

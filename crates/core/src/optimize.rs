@@ -113,6 +113,13 @@ pub(crate) fn optimize_patches_governed(
     // end, so the stage as a whole never regresses the contest metric.
     let mut best: Vec<PatchFn> = patches.to_vec();
     let mut best_total = stats.cost_before;
+    // Candidates cheapest first, ties by name: the pool order of every
+    // rebase query. The candidate list never changes here, so sort once.
+    let mut by_weight: Vec<usize> = (0..ws.cands.len()).collect();
+    by_weight.sort_by(|&a, &b| {
+        let (a, b) = (&ws.cands[a], &ws.cands[b]);
+        a.weight.cmp(&b.weight).then_with(|| a.name.cmp(&b.name))
+    });
     'rounds: for _round in 0..opts.max_rounds {
         stats.rounds += 1;
         let mut improved_this_round = false;
@@ -172,9 +179,7 @@ pub(crate) fn optimize_patches_governed(
 
             // Candidate pool: current base + cheapest candidates.
             let mut pool: Vec<usize> = cur_base.clone();
-            let mut by_weight: Vec<usize> = (0..ws.cands.len()).collect();
-            by_weight.sort_by_key(|&i| (ws.cands[i].weight, ws.cands[i].name.clone()));
-            for i in by_weight {
+            for &i in &by_weight {
                 if pool.len() >= opts.max_pool.max(cur_base.len()) {
                     break;
                 }

@@ -38,7 +38,7 @@ mod sweep;
 mod uf;
 
 pub use crate::sweep::{
-    fraig_classes, fraig_classes_memo, fraig_classes_stats, fraig_reduce, sweep_fingerprint,
-    EquivClass, EquivClasses, FraigOptions, SweepMemo, SweepStats,
+    fraig_classes, fraig_classes_stats, fraig_reduce, sweep_fingerprint, EquivClass, EquivClasses,
+    FraigOptions, SweepStats,
 };
 pub use crate::uf::ParityUnionFind;

@@ -178,21 +178,13 @@ pub struct StatsView {
 
 /// The `stats` response.
 pub fn stats_response(id: &json::Value, view: &StatsView) -> String {
-    let memo = JsonObj::new()
-        .u64("hits", view.memo.hits)
-        .u64("misses", view.memo.misses)
-        .u64("insertions", view.memo.insertions)
-        .u64("evictions", view.memo.evictions)
-        .u64("fallbacks", view.memo.fallbacks)
-        .u64("entries", view.memo.entries)
-        .build();
     response(id, true)
         .str("op", "stats")
         .u64("served", view.served)
         .u64("busy", view.busy)
         .u64("queued", view.queued as u64)
         .u64("workers", view.workers as u64)
-        .raw("memo", &memo)
+        .raw("memo", &view.memo.json())
         .build()
 }
 

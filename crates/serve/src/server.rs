@@ -119,14 +119,6 @@ pub struct ServeSummary {
 /// Renders a [`ServeSummary`] as one JSON object (the daemon's exit
 /// report on stderr under `--stats`).
 pub fn summary_json(s: &ServeSummary) -> String {
-    let memo = JsonObj::new()
-        .u64("hits", s.memo.hits)
-        .u64("misses", s.memo.misses)
-        .u64("insertions", s.memo.insertions)
-        .u64("evictions", s.memo.evictions)
-        .u64("fallbacks", s.memo.fallbacks)
-        .u64("entries", s.memo.entries)
-        .build();
     JsonObj::new()
         .u64("served", s.served)
         .u64("busy", s.busy)
@@ -138,7 +130,7 @@ pub fn summary_json(s: &ServeSummary) -> String {
         .u64("journal_appended", s.journal_appended)
         .u64("persist_errors", s.persist_errors)
         .raw("wall_s", &format!("{:.6}", s.wall.as_secs_f64()))
-        .raw("memo", &memo)
+        .raw("memo", &s.memo.json())
         .build()
 }
 

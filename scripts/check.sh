@@ -23,11 +23,13 @@
 # eco-workgen, runs it cold then warm through eco-batch over one shared
 # memo cache (--repeat 2), and asserts every job is proven equivalent,
 # the warm pass reports nonzero cache hits, and the JSONL report is
-# byte-identical for --jobs 1 vs --jobs 4. A journal leg then runs the
-# manifest with --journal and again with --resume on the same state
-# directory: the resumed report must replay all 12 jobs and be
-# byte-identical to the uninterrupted one. Cold/warm wall times are
-# recorded in crates/bench/BENCH_batch.json.
+# byte-identical for --jobs 1 vs --jobs 4. A duplicate leg runs a
+# manifest listing every job twice, cold, at --jobs 1 and --jobs 2: the
+# memo hits/misses on stderr and the two JSONL reports must be
+# identical. A journal leg then runs the manifest with --journal and
+# again with --resume on the same state directory: the resumed report
+# must replay all 12 jobs and be byte-identical to the uninterrupted
+# one. Cold/warm wall times are recorded in crates/bench/BENCH_batch.json.
 #
 # --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
 # through eco-workgen --scale, then runs the release scale harness on
@@ -269,12 +271,15 @@ if [ "$batch_smoke" -eq 1 ]; then
   trap 'rm -rf "${chtmp:-}" "${sqtmp:-}" "${tmp:-}" "${btmp:-}"' EXIT
   target/release/eco-workgen --suite --count 12 --out "$btmp" --manifest "$btmp/manifest.toml" -q
 
-  run_batch() {
+  run_batch_on() {
+    local manifest="$1"
+    shift
     set +e
-    target/release/eco-batch run "$btmp/manifest.toml" "$@" 2> "$btmp/stderr.txt"
+    target/release/eco-batch run "$manifest" "$@" 2> "$btmp/stderr.txt"
     rc=$?
     set -e
   }
+  run_batch() { run_batch_on "$btmp/manifest.toml" "$@"; }
 
   # Cold then warm in one process (--repeat 2): every job must be proven
   # equivalent in both passes, and the warm pass must actually hit the
@@ -299,6 +304,24 @@ if [ "$batch_smoke" -eq 1 ]; then
   cmp -s "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" \
     || { echo "batch smoke: JSONL differs between --jobs 1 and --jobs 4"; diff "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" || true; exit 1; }
 
+  # Duplicate leg: every job listed twice, back to back, on a cold
+  # cache. Single-flight memo lookups make the hit/miss counters
+  # independent of scheduling, so --jobs 1 and --jobs 2 must report the
+  # same counters as well as the same bytes.
+  awk 'BEGIN { RS = ""; ORS = "\n\n" } /\[\[job\]\]/ { print; dup = $0; sub(/name = "[^"]*/, "&-dup", dup); print dup }' \
+    "$btmp/manifest.toml" > "$btmp/manifest_dup.toml"
+  for j in 1 2; do
+    run_batch_on "$btmp/manifest_dup.toml" --jobs "$j" --report "$btmp/report_dup_j$j.jsonl" --stats=json -q
+    [ "$rc" -eq 0 ] || { echo "batch smoke: duplicate manifest --jobs $j failed ($rc)"; cat "$btmp/stderr.txt"; exit 1; }
+    counters=$(sed -n 's/.*"memo": {"hits": \([0-9]*\), "misses": \([0-9]*\),.*/\1 \2/p' "$btmp/stderr.txt")
+    [ -n "$counters" ] || { echo "batch smoke: no memo counters in duplicate --jobs $j stats"; cat "$btmp/stderr.txt"; exit 1; }
+    eval "dup_counters_j$j=\"\$counters\""
+  done
+  [ "$dup_counters_j1" = "$dup_counters_j2" ] \
+    || { echo "batch smoke: memo hits/misses differ on the duplicate manifest: --jobs 1 '$dup_counters_j1', --jobs 2 '$dup_counters_j2'"; exit 1; }
+  cmp -s "$btmp/report_dup_j1.jsonl" "$btmp/report_dup_j2.jsonl" \
+    || { echo "batch smoke: duplicate-manifest JSONL differs between --jobs 1 and --jobs 2"; diff "$btmp/report_dup_j1.jsonl" "$btmp/report_dup_j2.jsonl" || true; exit 1; }
+
   # Journal leg: a journaled run, then --resume over the same state
   # directory, which must replay every job from the journal and
   # reproduce the uninterrupted report byte for byte.
@@ -320,7 +343,7 @@ if [ "$batch_smoke" -eq 1 ]; then
   {"name": "batch/suite12/warm", "samples": 1, "mean_ns": $warm_ns, "median_ns": $warm_ns, "min_ns": $warm_ns, "max_ns": $warm_ns}
 ]}
 EOF
-  echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, $hits cache hits"
+  echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, $hits cache hits; duplicate manifest hits/misses $dup_counters_j1 at --jobs 1 and 2"
 fi
 
 if [ "$scale_smoke" -eq 1 ]; then

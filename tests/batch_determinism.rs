@@ -10,11 +10,14 @@
 mod common;
 
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use eco::batch::{
-    exit_code, load_jobs, records_jsonl, run_batch, BatchJob, BatchOptions, JobStatus, Manifest,
+    execute_job, exit_code, load_jobs, records_jsonl, run_batch, BatchJob, BatchOptions, JobStatus,
+    Manifest,
 };
-use eco::core::{patch_memo_key, BudgetOptions, EcoEngine, EcoOptions, MemoCache};
+use eco::core::{patch_memo_key, Budget, BudgetOptions, EcoEngine, EcoOptions, Lookup, MemoCache};
 use eco::workgen::{contest_suite, manifest_toml, write_unit, SuiteUnit};
 
 /// Small, fast suite units (skips the difficult datapath ones).
@@ -129,7 +132,10 @@ fn poisoned_memo_entry_falls_back_to_full_sat_check() {
         ..Default::default()
     };
     let (key, check) = patch_memo_key(&victim, &options);
-    cache.store_patch(key, check, &donor_result);
+    let Lookup::Miss(claim) = cache.claim_patch(key, check) else {
+        panic!("a fresh cache misses");
+    };
+    claim.store(&donor_result);
 
     let fresh = EcoEngine::new(victim.clone(), EcoOptions::default())
         .run()
@@ -150,6 +156,71 @@ fn poisoned_memo_entry_falls_back_to_full_sat_check() {
         "fallback patch must be the fresh patch, not the planted one"
     );
     common::assert_patched_equals_golden(&units[0].faulty, &units[0].golden, &poisoned_run);
+}
+
+/// Single flight never blocks on a poisoned entry: two duplicate jobs
+/// started together both hit the planted patch, both refute it, and
+/// both recompute without a claim, so neither waits for the other. The
+/// counters match the same two jobs run one after the other.
+#[test]
+fn refuted_hit_does_not_block_a_concurrent_duplicate() {
+    let units = fast_units(2);
+    let victim = units[0].instance().expect("valid");
+    let donor = units[1].instance().expect("valid");
+    let donor_result = EcoEngine::new(donor, EcoOptions::default())
+        .run()
+        .expect("donor rectifiable");
+    let options = EcoOptions::default();
+    let (key, check) = patch_memo_key(&victim, &options);
+    let poisoned = || {
+        let cache = Arc::new(MemoCache::new());
+        let Lookup::Miss(claim) = cache.claim_patch(key, check) else {
+            panic!("a fresh cache misses");
+        };
+        claim.store(&donor_result);
+        cache
+    };
+    let run = move |name: &str, cache: &Arc<MemoCache>| {
+        let source = Ok(victim.clone());
+        let record = execute_job(name, &source, &options, &Budget::unlimited(), cache);
+        assert_eq!(record.status, JobStatus::Complete, "{record:?}");
+        assert!(record.verified);
+    };
+
+    let sequential = poisoned();
+    run("dup-a", &sequential);
+    run("dup-b", &sequential);
+
+    // Plain threads, so a hung duplicate fails the wait below instead of
+    // hanging the test.
+    let concurrent = poisoned();
+    let run = Arc::new(run);
+    let barrier = Arc::new(Barrier::new(2));
+    let (tx, rx) = mpsc::channel();
+    for name in ["dup-a", "dup-b"] {
+        let (run, cache, barrier, tx) = (
+            Arc::clone(&run),
+            Arc::clone(&concurrent),
+            Arc::clone(&barrier),
+            tx.clone(),
+        );
+        std::thread::spawn(move || {
+            barrier.wait();
+            run(name, &cache);
+            let _ = tx.send(());
+        });
+    }
+    drop(tx);
+    for _ in 0..2 {
+        rx.recv_timeout(Duration::from_secs(300))
+            .expect("a duplicate of a refuted entry must finish, not hang");
+    }
+    let (seq, par) = (sequential.stats(), concurrent.stats());
+    assert_eq!(par.fallbacks, 2, "both duplicates refute the planted patch");
+    assert_eq!(
+        (par.hits, par.misses, par.insertions, par.fallbacks),
+        (seq.hits, seq.misses, seq.insertions, seq.fallbacks)
+    );
 }
 
 /// A starved batch degrades to per-job outcomes instead of erroring:

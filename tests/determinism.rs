@@ -1,10 +1,12 @@
 //! Determinism regression: the per-cluster patch-generation stage runs on
 //! scoped worker threads when `jobs > 1`, but merges in cluster order, so
 //! every `jobs` value must produce *identical* results — same cost, same
-//! size, same per-target base sets, byte-identical patch AIG.
+//! size, same per-target base sets, byte-identical patch AIG. The batch
+//! layer's memo counters must not depend on the worker count either.
 
 mod common;
 
+use eco::batch::{records_jsonl, run_batch, BatchJob, BatchOptions};
 use eco::core::{
     Budget, BudgetOptions, ClusterDiagnosis, EcoEngine, EcoOptions, EcoOutcome, EcoResult,
 };
@@ -203,5 +205,48 @@ fn auto_jobs_matches_sequential() {
         let seq = run_with_jobs(&inst, 1, false);
         let auto = run_with_jobs(&inst, 0, false);
         assert_identical(&unit.spec.name, &seq, &auto);
+    }
+}
+
+/// The memo counters do not depend on scheduling: a duplicate-heavy job
+/// list (fast suite units, each twice back to back) on a cold cache
+/// gives the same hits, misses and insertions, and byte-identical JSONL,
+/// at 1, 2 and 4 workers. Without single flight both workers of a
+/// duplicate pair can miss at once.
+#[test]
+fn memo_counters_are_jobs_independent() {
+    let jobs: Vec<BatchJob> = contest_suite()
+        .into_iter()
+        .filter(|u| !u.spec.difficult)
+        .take(6)
+        .flat_map(|u| {
+            let inst = u.instance().expect("valid instance");
+            ["a", "b"]
+                .map(|tag| BatchJob::from_instance(format!("{}-{tag}", u.spec.name), inst.clone()))
+        })
+        .collect();
+    let runs = [1, 2, 4].map(|workers| {
+        let outcome = run_batch(
+            &jobs,
+            &BatchOptions {
+                jobs: workers,
+                ..Default::default()
+            },
+        );
+        let m = outcome.memo;
+        (
+            workers,
+            records_jsonl(&outcome.records),
+            (m.hits, m.misses, m.insertions),
+        )
+    });
+    let (_, jsonl, counters) = &runs[0];
+    assert!(counters.0 >= 6, "every duplicate hits: {counters:?}");
+    for (workers, other_jsonl, other) in &runs[1..] {
+        assert_eq!(other_jsonl, jsonl, "JSONL differs at {workers} workers");
+        assert_eq!(
+            other, counters,
+            "memo (hits, misses, insertions) differ at {workers} workers"
+        );
     }
 }
