@@ -280,10 +280,10 @@ impl EcoEngine {
     /// This is also where the [`EcoOptions::memo`] whole-instance lookup
     /// happens: a cached result is returned only after a fresh SAT miter
     /// re-verifies it against this engine's instance; a refuted entry is
-    /// counted as a fallback and the full pipeline runs instead. On a
-    /// miss this run leads the key: concurrent runs of the same instance
-    /// wait for it and take its result as a hit (single flight; see the
-    /// [`MemoCache`] module docs).
+    /// evicted and the key claimed again, so the full pipeline's result
+    /// replaces it. On a miss this run leads the key: concurrent runs of
+    /// the same instance wait for it and take its result as a hit (single
+    /// flight; see the [`MemoCache`] module docs).
     ///
     /// [`run`]: EcoEngine::run
     ///
@@ -301,21 +301,27 @@ impl EcoEngine {
         let mut claim = None;
         if let Some(cache) = memo {
             let (key, check) = patch_memo_key(&self.instance, &self.options);
-            match cache.claim_patch(key, check) {
-                Lookup::Hit(mut cached) => {
-                    tel.add_memo_hit();
-                    if self.reverify_patch(&cached, budget, &tel) {
-                        cached.telemetry = tel.snapshot();
-                        return Ok(EcoOutcome::Complete(cached));
+            // A refuted hit is evicted and the key claimed again. A second
+            // refutation (only a key collision racing a store) recomputes
+            // without a claim.
+            for _ in 0..2 {
+                match cache.claim_patch(key, check) {
+                    Lookup::Hit(hit) => {
+                        if self.reverify_patch(hit.value(), budget, &tel) {
+                            tel.add_memo_hit();
+                            let mut cached = hit.accept();
+                            cached.telemetry = tel.snapshot();
+                            return Ok(EcoOutcome::Complete(cached));
+                        }
+                        if hit.refute() {
+                            tel.add_memo_fallback();
+                        }
                     }
-                    // Refuted: recompute without a claim, so the
-                    // poisoned entry never blocks a duplicate.
-                    cache.record_fallback();
-                    tel.add_memo_fallback();
-                }
-                Lookup::Miss(lead) => {
-                    tel.add_memo_miss();
-                    claim = Some(lead);
+                    Lookup::Miss(lead) => {
+                        tel.add_memo_miss();
+                        claim = Some(lead);
+                        break;
+                    }
                 }
             }
         }
@@ -500,9 +506,9 @@ impl EcoEngine {
                 let (key, check) = sweep_fingerprint(&sub.mgr, &fraig_opts);
                 cache.claim_sweep(key, check)
             }) {
-                Some(Lookup::Hit((classes, _))) => {
+                Some(Lookup::Hit(hit)) => {
                     tel.add_memo_hit();
-                    classes
+                    hit.accept().0
                 }
                 lookup => {
                     let claim = match lookup {
@@ -577,36 +583,45 @@ impl EcoEngine {
             let (mut verdict, mut claim) = (None, None);
             if let Some(cache) = memo {
                 let (key, check) = rect_memo_key(&self.instance, opts);
-                match cache.claim_rect(key, check) {
-                    Lookup::Hit(Rectifiability::Rectifiable) => {
-                        // Trusted as-is: a wrong `Rectifiable` only delays
-                        // failure to the (always fresh) final verification.
-                        tel.add_memo_hit();
-                        verdict = Some(Rectifiability::Rectifiable);
-                    }
-                    Lookup::Hit(Rectifiability::Counterexample(cex)) => {
-                        // Audit the claimed universal counterexample with
-                        // one cheap B-check before declaring defeat.
-                        tel.add_memo_hit();
-                        if check_rect_cex(
-                            &mut scratch,
-                            &cex,
-                            budget.cap(opts.verify_budget),
-                            &budget.ctl(),
-                            tel,
-                        ) == Some(true)
-                        {
-                            verdict = Some(Rectifiability::Counterexample(cex));
-                        } else {
-                            cache.record_fallback();
-                            tel.add_memo_fallback();
+                // As for patches: a refuted hit is evicted and the key
+                // claimed again.
+                for _ in 0..2 {
+                    match cache.claim_rect(key, check) {
+                        Lookup::Hit(hit) => {
+                            let trusted = match hit.value() {
+                                // Trusted as-is: a wrong `Rectifiable` only
+                                // delays failure to the (always fresh) final
+                                // verification.
+                                Rectifiability::Rectifiable => true,
+                                // Audit the claimed universal counterexample
+                                // with one cheap B-check before declaring
+                                // defeat.
+                                Rectifiability::Counterexample(cex) => {
+                                    check_rect_cex(
+                                        &mut scratch,
+                                        cex,
+                                        budget.cap(opts.verify_budget),
+                                        &budget.ctl(),
+                                        tel,
+                                    ) == Some(true)
+                                }
+                                // Never stored; a hit on it is bogus.
+                                Rectifiability::Unknown => false,
+                            };
+                            if trusted {
+                                tel.add_memo_hit();
+                                verdict = Some(hit.accept());
+                                break;
+                            }
+                            if hit.refute() {
+                                tel.add_memo_fallback();
+                            }
                         }
-                    }
-                    // `Unknown` is never stored; a hit on it is a miss.
-                    Lookup::Hit(Rectifiability::Unknown) => tel.add_memo_miss(),
-                    Lookup::Miss(lead) => {
-                        tel.add_memo_miss();
-                        claim = Some(lead);
+                        Lookup::Miss(lead) => {
+                            tel.add_memo_miss();
+                            claim = Some(lead);
+                            break;
+                        }
                     }
                 }
             }

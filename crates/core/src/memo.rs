@@ -23,8 +23,16 @@
 //! returns an error, `Partial`, or `Unknown`, or panics — drops its claim
 //! without storing; the drop wakes the waiters and the first to look
 //! again becomes the next leader and computes for itself, so nobody
-//! hangs. A hit holds no claim: a thread whose hit is refuted recomputes
-//! without one, so a poisoned entry never blocks its duplicates.
+//! hangs.
+//!
+//! A hit holds no claim. The caller checks its [`Hit`] and then either
+//! [accepts](Hit::accept) it or [refutes](Hit::refute) it. A refutation
+//! evicts the entry, but only if the entry is still the one the hit read
+//! (each insertion gets a fresh generation number), and the caller then
+//! claims the key again: the first re-claimant leads the recompute and
+//! stores it, so a refuted entry is replaced by a verified one instead
+//! of failing every later lookup. Duplicates that refuted the same entry
+//! wait for that leader like any other waiter.
 //!
 //! A hit costs one shard lock: only a miss registers a claim, and only
 //! the end of a claim notifies.
@@ -35,7 +43,9 @@
 //! takes rect claims (the precheck) and sweep claims (per cluster) while
 //! it computes, and never the reverse. A thread holding a rect or sweep
 //! claim runs a memo-free computation (`check_rectifiable`, one FRAIG
-//! sweep) and never waits on any key. Every waits-for edge therefore
+//! sweep) and never waits on any key. Checking a hit holds no claim of
+//! its kind, and the re-claim after a refutation is an ordinary claim
+//! at the same nesting level. Every waits-for edge therefore
 //! ends at a thread that waits on nothing, and such a thread finishes
 //! or unwinds, dropping its claim, on its own.
 //!
@@ -46,8 +56,10 @@
 //! latecomer — takes its stored value as a hit, so for a given job list
 //! the `hits`, `misses` and `insertions` counters are the same for any
 //! worker count or interleaving (`tests/determinism.rs` checks this at
-//! 1, 2 and 4 workers). Only `waits`, which counts the lookups that
-//! found their key in flight, depends on timing. Hits still never change
+//! 1, 2 and 4 workers). A refuted entry keeps them so: `hits` counts
+//! only accepted hits and `fallbacks` counts evicted entries, not the
+//! lookups that refuted them. Only `waits`, which counts the lookups
+//! that found their key in flight, depends on timing. Hits still never change
 //! *what* is computed: every memoized granularity is a pure function of
 //! its key, so a hit returns exactly the value a fresh computation would
 //! produce and results are byte-identical whatever the interleaving.
@@ -61,8 +73,8 @@
 //!   lookup is treated as a miss;
 //! * cached **patch results** are re-verified with a fresh SAT miter
 //!   against the actual instance before being returned ([`crate::EcoEngine`]
-//!   does this in `run_governed`); a refuted entry falls back to the
-//!   full pipeline and is counted in [`MemoStats::fallbacks`];
+//!   does this in `run_governed`); a refuted entry is evicted, counted in
+//!   [`MemoStats::fallbacks`], and replaced by the full pipeline's result;
 //! * cached **counterexample** verdicts are audited with a single B-check
 //!   ([`crate::check_rect_cex`]) before being trusted;
 //! * cached **sweep classes** feed localization only; a wrong class can
@@ -113,13 +125,30 @@ pub(crate) enum Entry {
     },
 }
 
+/// A resident entry and the generation number of its insertion, which
+/// tells a refutation whether the entry is still the one it refuted.
+#[derive(Debug)]
+struct Slot {
+    generation: u64,
+    entry: Entry,
+}
+
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<u128, Entry>,
+    map: HashMap<u128, Slot>,
     order: VecDeque<u128>,
     /// Keys whose leader holds a [`Claim`] (a handful at most: one per
     /// worker and nesting level).
     in_flight: Vec<u128>,
+}
+
+impl Shard {
+    /// Removes `key`'s entry, if any, and its place in the FIFO order.
+    fn remove(&mut self, key: u128) {
+        if self.map.remove(&key).is_some() {
+            self.order.retain(|&k| k != key);
+        }
+    }
 }
 
 /// One lock stripe: the shard and the condvar its waiters block on.
@@ -161,7 +190,8 @@ impl std::fmt::Debug for SinkSlot {
 /// Cumulative counters of one cache over its lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Lookups that returned a value (kind and check digest matched).
+    /// Lookups whose value (kind and check digest matched) the caller
+    /// accepted.
     pub hits: u64,
     /// Lookups that found nothing usable (each one became a leader).
     pub misses: u64,
@@ -172,7 +202,8 @@ pub struct MemoStats {
     pub insertions: u64,
     /// Entries evicted by the FIFO capacity bound.
     pub evictions: u64,
-    /// Hits later discarded because revalidation refuted the entry.
+    /// Entries evicted because revalidation refuted them (counted once
+    /// per entry, however many lookups refuted it).
     pub fallbacks: u64,
     /// Entries currently resident.
     pub entries: u64,
@@ -200,10 +231,50 @@ impl MemoStats {
 pub enum Lookup<'a, T> {
     /// A stored value (possibly one a leader stored while this claimant
     /// waited). The caller re-checks it as the [module docs](self) say.
-    Hit(T),
+    Hit(Hit<'a, T>),
     /// Nothing usable: the caller leads this key and should compute it,
     /// then [`Claim::store`] the result or drop the claim.
     Miss(Claim<'a, T>),
+}
+
+/// A stored value found by a claim, not yet counted. The caller checks
+/// [`Hit::value`], then calls [`Hit::accept`] or [`Hit::refute`].
+#[must_use = "a hit is counted only when accepted"]
+pub struct Hit<'a, T> {
+    cache: &'a MemoCache,
+    key: u128,
+    generation: u64,
+    value: T,
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Hit<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Hit")
+            .field("key", &self.key)
+            .field("value", &self.value)
+            .finish()
+    }
+}
+
+impl<T> Hit<'_, T> {
+    /// The stored value, for the caller's check.
+    pub fn value(&self) -> &T {
+        &self.value
+    }
+
+    /// Keeps the value: counts the hit and returns it.
+    pub fn accept(self) -> T {
+        self.cache.hits.fetch_add(1, Ordering::Relaxed);
+        self.value
+    }
+
+    /// Discards a value that failed its check: evicts the entry if it is
+    /// still the one this hit read, and returns whether this call evicted
+    /// it (each evicted entry is one [`MemoStats::fallbacks`]). The
+    /// caller then claims the key again, so the recompute is stored.
+    pub fn refute(self) -> bool {
+        self.cache.evict(self.key, self.generation)
+    }
 }
 
 /// The leadership of one in-flight key. Claimants of the same key wait
@@ -307,10 +378,14 @@ impl MemoCache {
         self.sink.0.set(sink).is_ok()
     }
 
-    /// Inserts a recovered entry (durable-store load path). Same
-    /// first-write-wins semantics as a live insert; call before
-    /// [`MemoCache::set_sink`] so the replay is not re-journaled.
+    /// Inserts a recovered entry (durable-store load path), replacing an
+    /// earlier record of the same key: the journal holds a second record
+    /// for a key only after the first was evicted (refuted, or pushed out
+    /// by the FIFO bound) and recomputed, so the later one is the one to
+    /// keep. Call before [`MemoCache::set_sink`] so the replay is not
+    /// re-journaled.
     pub(crate) fn import(&self, key: u128, entry: Entry) {
+        lock(self.stripe(key)).remove(key);
         self.store(key, entry);
     }
 
@@ -321,8 +396,8 @@ impl MemoCache {
         for stripe in &self.stripes {
             let shard = lock(stripe);
             for key in &shard.order {
-                if let Some(entry) = shard.map.get(key) {
-                    out.push((*key, entry.clone()));
+                if let Some(slot) = shard.map.get(key) {
+                    out.push((*key, slot.entry.clone()));
                 }
             }
         }
@@ -348,8 +423,10 @@ impl MemoCache {
         let mut shard = lock(stripe);
         let mut waited = false;
         let hit = loop {
-            if let Some(value) = shard.map.get(&key).and_then(&extract) {
-                break Some(value);
+            if let Some(slot) = shard.map.get(&key) {
+                if let Some(value) = extract(&slot.entry) {
+                    break Some((slot.generation, value));
+                }
             }
             if !shard.in_flight.contains(&key) {
                 shard.in_flight.push(key);
@@ -366,10 +443,12 @@ impl MemoCache {
         };
         drop(shard);
         match hit {
-            Some(value) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Hit(value)
-            }
+            Some((generation, value)) => Lookup::Hit(Hit {
+                cache: self,
+                key,
+                generation,
+                value,
+            }),
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 Lookup::Miss(Claim {
@@ -401,19 +480,35 @@ impl MemoCache {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            shard.map.insert(key, entry);
+            let generation = self.insertions.fetch_add(1, Ordering::Relaxed);
+            shard.map.insert(key, Slot { generation, entry });
             shard.order.push_back(key);
-            self.insertions.fetch_add(1, Ordering::Relaxed);
         }
         if let (Some(sink), Some(bytes)) = (self.sink.0.get(), encoded) {
             sink.append(&bytes);
         }
     }
 
+    /// Removes `key`'s entry if it is still the insertion `generation`;
+    /// returns whether it did, counting the eviction as a fallback.
+    fn evict(&self, key: u128, generation: u64) -> bool {
+        let mut shard = lock(self.stripe(key));
+        if shard
+            .map
+            .get(&key)
+            .is_none_or(|slot| slot.generation != generation)
+        {
+            return false;
+        }
+        shard.remove(key);
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
     /// Claims the complete result for an instance key. A hit **must** be
-    /// re-verified against the live instance before it is trusted (and
-    /// [`MemoCache::record_fallback`] called when it is refuted); a miss
-    /// stores only a complete, verified result.
+    /// re-verified against the live instance before it is accepted (and
+    /// refuted, then claimed again, when it fails); a miss stores only a
+    /// complete, verified result.
     pub fn claim_patch(&self, key: u128, check: u128) -> Lookup<'_, EcoResult> {
         self.claim(
             key,
@@ -434,7 +529,8 @@ impl MemoCache {
 
     /// Claims the rectifiability verdict for an instance key. A
     /// `Counterexample` hit must be audited via [`crate::check_rect_cex`]
-    /// before use; a miss stores only a decided (never `Unknown`) verdict.
+    /// before it is accepted; a miss stores only a decided (never
+    /// `Unknown`) verdict.
     pub fn claim_rect(&self, key: u128, check: u128) -> Lookup<'_, Rectifiability> {
         self.claim(
             key,
@@ -475,12 +571,6 @@ impl MemoCache {
                 stats: *stats,
             },
         )
-    }
-
-    /// Counts a hit that revalidation refuted (the caller fell back to the
-    /// full computation).
-    pub fn record_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the cache's counters.
@@ -562,18 +652,19 @@ pub fn rect_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
 
 #[cfg(test)]
 impl<T> Lookup<'_, T> {
-    /// The hit's value; a miss drops its claim.
+    /// The hit's value, accepted; a miss drops its claim.
     pub(crate) fn hit(self) -> Option<T> {
         match self {
-            Lookup::Hit(value) => Some(value),
+            Lookup::Hit(hit) => Some(hit.accept()),
             Lookup::Miss(_) => None,
         }
     }
 
-    /// Stores `value` if this was a miss.
+    /// Stores `value` if this was a miss; accepts a hit.
     pub(crate) fn fill(self, value: &T) {
-        if let Lookup::Miss(claim) = self {
-            claim.store(value);
+        match self {
+            Lookup::Hit(hit) => drop(hit.accept()),
+            Lookup::Miss(claim) => claim.store(value),
         }
     }
 }
@@ -707,6 +798,32 @@ mod tests {
         assert_eq!(cache.claim_rect(16, 1).hit(), Some(OK));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
+    }
+
+    /// A refuted entry is evicted once, by the first refutation of its
+    /// generation: a stale refutation of the same entry (a duplicate that
+    /// read it too) leaves the replacement alone, and later lookups hit
+    /// the replacement.
+    #[test]
+    fn refuted_entry_is_evicted_once_and_replaced() {
+        let cache = MemoCache::new();
+        let bad = Rectifiability::Counterexample(vec![("a".into(), true)]);
+        cache.claim_rect(9, 1).fill(&bad);
+        let (Lookup::Hit(first), Lookup::Hit(second)) =
+            (cache.claim_rect(9, 1), cache.claim_rect(9, 1))
+        else {
+            panic!("both duplicates read the stored entry");
+        };
+        assert!(first.refute(), "the first refutation evicts");
+        let Lookup::Miss(lead) = cache.claim_rect(9, 1) else {
+            panic!("an evicted key is claimed again");
+        };
+        lead.store(&OK);
+        assert!(!second.refute(), "a stale refutation keeps the replacement");
+        assert_eq!(cache.claim_rect(9, 1).hit(), Some(OK));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.fallbacks), (1, 2, 1));
+        assert_eq!((stats.insertions, stats.entries), (2, 1));
     }
 
     /// Every key has exactly one leader however the threads interleave:

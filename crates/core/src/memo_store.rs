@@ -738,6 +738,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A refuted entry's replacement is journaled after it, and the later
+    /// record wins when the journal is replayed.
+    #[test]
+    fn replacement_after_refutation_wins_on_reload() {
+        let dir = tmpdir("replace");
+        {
+            let store = MemoStore::open(&dir).expect("open");
+            let cache = MemoCache::new();
+            store.attach(&cache);
+            let bad = Rectifiability::Counterexample(vec![("a".into(), true)]);
+            cache.claim_rect(3, 4).fill(&bad);
+            let crate::Lookup::Hit(hit) = cache.claim_rect(3, 4) else {
+                panic!("the entry was stored");
+            };
+            assert!(hit.refute());
+            cache.claim_rect(3, 4).fill(&Rectifiability::Rectifiable);
+            assert_eq!(store.appended(), 2);
+            // No snapshot: simulate a crash (journal only).
+        }
+        let store = MemoStore::open(&dir).expect("reopen");
+        let cache = MemoCache::new();
+        assert_eq!(store.load_into(&cache).loaded, 2);
+        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(
+            cache.claim_rect(3, 4).hit(),
+            Some(Rectifiability::Rectifiable)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn sweep_entries_are_not_persisted() {
         let dir = tmpdir("sweep");

@@ -57,6 +57,13 @@ pub struct SizeOptStats {
 
 /// Validity check: is `candidate` inside the `[on, ¬off]` interval?
 /// Decides `(on ∧ ¬candidate) ∨ (off ∧ candidate)` unsat.
+///
+/// `checker` is the patch's one incremental solver and its Tseitin map,
+/// created by the first check that needs a solver. A check encodes only
+/// the manager nodes no earlier check of the patch encoded (the on/off
+/// specification is encoded once). The solver holds cone definitions
+/// only and each check assumes its violation, so learned clauses stay
+/// valid for every later check.
 fn patch_is_valid(
     ws: &mut Workspace,
     on: Lit,
@@ -64,7 +71,7 @@ fn patch_is_valid(
     candidate: Lit,
     conflict_budget: u64,
     ctl: &SolveCtl,
-    tel: &crate::Telemetry,
+    checker: &mut Option<(Solver, HashMap<Var, SLit>)>,
 ) -> Option<bool> {
     let viol = {
         let mgr = &mut ws.mgr;
@@ -75,16 +82,17 @@ fn patch_is_valid(
     if viol == Lit::FALSE {
         return Some(true);
     }
-    let mut solver = Solver::new();
-    if !ctl.is_unlimited() {
-        solver.set_ctl(ctl);
-    }
-    let mut map: HashMap<Var, SLit> = HashMap::new();
-    let roots = encode_cone(&ws.mgr, &[viol], &mut map, &mut solver);
-    solver.add_clause(&[roots[0]]);
-    let solved = solver.solve_limited(&[], conflict_budget);
-    tel.record_solver(&solver.stats());
-    solved.map(|sat| !sat)
+    let (solver, map) = checker.get_or_insert_with(|| {
+        let mut solver = Solver::new();
+        if !ctl.is_unlimited() {
+            solver.set_ctl(ctl);
+        }
+        (solver, HashMap::new())
+    });
+    let roots = encode_cone(&ws.mgr, &[viol], map, solver);
+    solver
+        .solve_limited(&[roots[0]], conflict_budget)
+        .map(|sat| !sat)
 }
 
 /// Shrinks each patch cone in place using the ECO don't cares.
@@ -103,9 +111,9 @@ pub fn reduce_patch_sizes(
 }
 
 /// [`reduce_patch_sizes`] under a resource governor: per-check budgets are
-/// capped by the governor's conflict allowance, each validity solver is
-/// enrolled in the deadline/cancellation control block, and remaining
-/// patches are skipped once the deadline fires. Like cost optimization,
+/// capped by the governor's conflict allowance, each patch's validity
+/// solver is enrolled in the deadline/cancellation control block, and
+/// remaining patches are skipped once the deadline fires. Like cost optimization,
 /// stopping early is always sound — the incoming patches stay valid.
 pub(crate) fn reduce_patch_sizes_governed(
     ws: &mut Workspace,
@@ -145,6 +153,7 @@ pub(crate) fn reduce_patch_sizes_governed(
         let t = ws.target_vars[k];
         let onoff = on_off_sets(&mut ws.mgr, &f_spec, &g_outs, t);
 
+        let mut checker = None;
         let mut trials_left = opts.max_trials;
         if cone_size(ws, patches[p].lit, &frontier) > opts.max_cone {
             trials_left = 0;
@@ -189,7 +198,7 @@ pub(crate) fn reduce_patch_sizes_governed(
                         candidate,
                         conflict_budget,
                         &ctl,
-                        tel,
+                        &mut checker,
                     ) == Some(true)
                     {
                         patches[p].lit = candidate;
@@ -199,6 +208,9 @@ pub(crate) fn reduce_patch_sizes_governed(
                     }
                 }
             }
+        }
+        if let Some((solver, _)) = checker {
+            tel.record_solver(&solver.stats());
         }
         stats.size_after += cone_size(ws, patches[p].lit, &frontier);
     }

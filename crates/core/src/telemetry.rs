@@ -94,6 +94,8 @@ pub struct SatTotals {
 pub struct SweepTotals {
     /// Sweeps folded in.
     pub sweeps: u64,
+    /// Sweeps decided by exhaustive simulation (no SAT solver).
+    pub exhaustive: u64,
     /// Refinement rounds.
     pub rounds: u64,
     /// SAT equivalence queries issued.
@@ -310,6 +312,7 @@ impl TelemetrySnapshot {
             .u64("eliminated_vars", self.sat.eliminated_vars);
         let fraig = JsonObj::new()
             .u64("sweeps", self.sweep.sweeps)
+            .u64("exhaustive", self.sweep.exhaustive)
             .u64("rounds", self.sweep.rounds)
             .u64("sat_calls", self.sweep.sat_calls)
             .u64("proven", self.sweep.proven)
@@ -388,9 +391,10 @@ impl std::fmt::Display for TelemetrySnapshot {
         )?;
         writeln!(
             f,
-            "fraig: {} sweeps, {} rounds, {} sat calls, {} proven, {} disproved, \
-             {} budgeted out, {} cex patterns, {} activations retired",
+            "fraig: {} sweeps ({} exhaustive), {} rounds, {} sat calls, {} proven, \
+             {} disproved, {} budgeted out, {} cex patterns, {} activations retired",
             self.sweep.sweeps,
+            self.sweep.exhaustive,
             self.sweep.rounds,
             self.sweep.sat_calls,
             self.sweep.proven,
@@ -453,6 +457,7 @@ pub struct Telemetry {
     restarts: AtomicU64,
     learned: AtomicU64,
     sweeps: AtomicU64,
+    sweep_exhaustive: AtomicU64,
     sweep_rounds: AtomicU64,
     sweep_sat_calls: AtomicU64,
     sweep_proven: AtomicU64,
@@ -517,10 +522,12 @@ impl Telemetry {
             .fetch_add(s.eliminated_vars, Ordering::Relaxed);
     }
 
-    /// Folds one FRAIG sweep into the sweep totals (its internal solver
-    /// is also folded into the SAT totals).
+    /// Folds one FRAIG sweep into the sweep totals (its internal solver,
+    /// if it ran one, is also folded into the SAT totals).
     pub fn record_sweep(&self, s: &SweepStats) {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
+        self.sweep_exhaustive
+            .fetch_add(s.exhaustive, Ordering::Relaxed);
         self.sweep_rounds
             .fetch_add(s.rounds as u64, Ordering::Relaxed);
         self.sweep_sat_calls
@@ -538,7 +545,9 @@ impl Telemetry {
             .fetch_add(s.resim_columns, Ordering::Relaxed);
         self.sweep_resim_columns_saved
             .fetch_add(s.resim_columns_saved, Ordering::Relaxed);
-        self.record_solver(&s.sat);
+        if s.exhaustive == 0 {
+            self.record_solver(&s.sat);
+        }
     }
 
     /// Counts `n` processed target clusters.
@@ -632,6 +641,7 @@ impl Telemetry {
             },
             sweep: SweepTotals {
                 sweeps: load(&self.sweeps),
+                exhaustive: load(&self.sweep_exhaustive),
                 rounds: load(&self.sweep_rounds),
                 sat_calls: load(&self.sweep_sat_calls),
                 proven: load(&self.sweep_proven),
@@ -736,6 +746,7 @@ mod tests {
             "\"conflicts\"",
             "\"propagations\"",
             "\"sat_calls\"",
+            "\"exhaustive\"",
             "\"proven\"",
             "\"retired_activations\"",
             "\"resim_columns_saved\"",

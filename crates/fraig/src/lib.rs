@@ -7,7 +7,9 @@
 //! words compared only on collision), a SAT solver verifies candidate
 //! pairs, and counterexamples are appended to an incremental simulation
 //! arena ([`eco_aig::IncrementalSim`]) — re-simulating only the new
-//! stimulus columns — until a fixpoint.
+//! stimulus columns — until a fixpoint. An AIG whose every input value
+//! fits in the stimulus budget is simulated exhaustively instead, and
+//! its classes are read off the truth tables without any SAT query.
 //!
 //! The ECO flow (Fig. 1 of the paper) uses [`fraig_classes`] for two
 //! purposes: identifying *shared equivalent signals* between the faulty and

@@ -118,6 +118,9 @@ pub struct SweepStats {
     /// Word-columns skipped by incremental re-simulation (vs a full
     /// per-round re-simulation of every column).
     pub resim_columns_saved: u64,
+    /// Sweeps decided by exhaustive simulation alone (0 or 1 for one
+    /// sweep; summed by telemetry). Such a sweep issues no SAT query.
+    pub exhaustive: u64,
     /// Non-trivial classes in the final result.
     pub classes: usize,
     /// Total members across those classes.
@@ -165,13 +168,115 @@ pub fn sweep_fingerprint(aig: &Aig, opts: &FraigOptions) -> (u128, u128) {
 
 /// Like [`fraig_classes`], additionally returning [`SweepStats`] counters
 /// for telemetry.
+///
+/// An AIG with few enough inputs that every input value fits in the
+/// stimulus budget (`2^inputs <= 64 * opts.sim_words`) is decided by
+/// exhaustive simulation alone: its simulation words are complete truth
+/// tables, so equal canonical words *are* equivalence and no SAT query
+/// is needed. Larger AIGs run the simulation-guided SAT loop.
 pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, SweepStats) {
-    let mut stats = SweepStats::default();
     let roots: Vec<ALit> = aig.outputs().iter().map(|o| o.lit).collect();
     let mut nodes = aig.cone_vars(&roots);
     if !nodes.contains(&AVar::CONST) {
         nodes.insert(0, AVar::CONST);
     }
+    let mut uf = ParityUnionFind::new(aig.len());
+    let mut stats = match exhaustive_words(aig.num_inputs(), opts.sim_words) {
+        Some(words) => exhaustive_sweep(aig, &nodes, words, &opts.ctl, &mut uf),
+        None => sat_sweep(aig, &roots, &nodes, opts, &mut uf),
+    };
+    let classes = materialize(&nodes, &mut uf);
+    stats.classes = classes.classes.len();
+    stats.class_members = classes.classes.iter().map(|c| c.members.len()).sum();
+    (classes, stats)
+}
+
+/// Word-columns of an exhaustive stimulus over `inputs` inputs, or `None`
+/// when the `2^inputs` values do not fit in `sim_words` 64-pattern
+/// words. The bound keeps the exhaustive arena no larger than the random
+/// one: a wider bound would trade a few SAT queries for one large
+/// short-lived allocation per sweep.
+fn exhaustive_words(inputs: usize, sim_words: usize) -> Option<usize> {
+    let patterns = 1usize.checked_shl(u32::try_from(inputs).ok()?)?;
+    (patterns <= sim_words.saturating_mul(64)).then(|| patterns.div_ceil(64))
+}
+
+/// Decides the classes of a small-support AIG by simulating all input
+/// values over `words` word-columns: input `i` reads bit `i` of the
+/// pattern index, so each node's words are its truth table (repeated when
+/// there are fewer than 64 values). Every candidate group is then a true
+/// class and is unioned without a solver. A fired `ctl` abandons the
+/// sweep before any union, as the SAT loop would; the conflict allowance
+/// does not apply, since no conflicts are spent.
+fn exhaustive_sweep(
+    aig: &Aig,
+    nodes: &[AVar],
+    words: usize,
+    ctl: &SolveCtl,
+    uf: &mut ParityUnionFind,
+) -> SweepStats {
+    const LOW: [u64; 6] = [
+        0xaaaa_aaaa_aaaa_aaaa,
+        0xcccc_cccc_cccc_cccc,
+        0xf0f0_f0f0_f0f0_f0f0,
+        0xff00_ff00_ff00_ff00,
+        0xffff_0000_ffff_0000,
+        0xffff_ffff_0000_0000,
+    ];
+    let mut stats = SweepStats {
+        exhaustive: 1,
+        ..SweepStats::default()
+    };
+    if ctl.expired() {
+        return stats;
+    }
+    stats.rounds = 1;
+    stats.resim_columns = words as u64;
+    let patterns: Vec<Vec<u64>> = (0..aig.num_inputs())
+        .map(|i| {
+            (0..words)
+                .map(|w| match LOW.get(i) {
+                    Some(&mask) => mask,
+                    None if w >> (i - 6) & 1 == 1 => !0,
+                    None => 0,
+                })
+                .collect()
+        })
+        .collect();
+    let sim = aig.simulate(&patterns);
+    let (mut sig_buf, mut flat, mut ranges) = (Vec::new(), Vec::new(), Vec::new());
+    candidate_groups(
+        &sim,
+        nodes,
+        |s, l| s.fingerprint(l).0,
+        &mut sig_buf,
+        &mut flat,
+        &mut ranges,
+    );
+    for &(start, len) in &ranges {
+        let members = &flat[start as usize..(start + len) as usize];
+        let head = members[0];
+        for &m in &members[1..] {
+            let phase = sim.phase(head) ^ sim.phase(m);
+            uf.union(head.index() as usize, m.index() as usize, phase);
+        }
+    }
+    stats
+}
+
+/// The simulation-guided SAT loop: alternates (a) hashing nodes by
+/// canonical simulation fingerprint into candidate classes and (b)
+/// SAT-verifying candidates against their class representative, feeding
+/// counterexamples back as new simulation columns. Proven pairs are
+/// unioned into `uf`.
+fn sat_sweep(
+    aig: &Aig,
+    roots: &[ALit],
+    nodes: &[AVar],
+    opts: &FraigOptions,
+    uf: &mut ParityUnionFind,
+) -> SweepStats {
+    let mut stats = SweepStats::default();
 
     // One incremental solver over the whole cone, enrolled in the
     // governor's control block (a no-op when unlimited).
@@ -180,7 +285,7 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
         solver.set_ctl(&opts.ctl);
     }
     let mut map: HashMap<AVar, SLit> = HashMap::new();
-    encode_cone(aig, &roots, &mut map, &mut solver);
+    encode_cone(aig, roots, &mut map, &mut solver);
     if !map.contains_key(&AVar::CONST) {
         // Outputs may not mention the constant; force-encode it.
         encode_cone(aig, &[ALit::FALSE], &mut map, &mut solver);
@@ -191,7 +296,6 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
     let mut isim = IncrementalSim::with_random_base(aig, opts.sim_words, opts.seed);
     let mut diversity = SplitMix64::new(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
 
-    let mut uf = ParityUnionFind::new(aig.len());
     let mut disproved: HashSet<(AVar, AVar)> = HashSet::new();
 
     // Reused bucketing scratch: no per-node heap allocation in the loop.
@@ -207,13 +311,12 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
 
         candidate_groups(
             sim,
-            &nodes,
+            nodes,
             |s, l| s.fingerprint(l).0,
             &mut sig_buf,
             &mut flat,
             &mut ranges,
         );
-
         let mut new_cex = 0usize;
         for &(start, len) in &ranges {
             let members = &flat[start as usize..(start + len) as usize];
@@ -292,10 +395,14 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
     }
     stats.resim_columns = isim.resim_columns();
     stats.resim_columns_saved = isim.resim_columns_saved();
+    stats.sat = solver.stats();
+    stats
+}
 
-    // Materialize classes from the union-find.
+/// Materializes the union-find's non-trivial classes over `nodes`.
+fn materialize(nodes: &[AVar], uf: &mut ParityUnionFind) -> EquivClasses {
     let mut groups: HashMap<usize, Vec<(AVar, bool)>> = HashMap::new();
-    for &v in &nodes {
+    for &v in nodes {
         let (root, phase) = uf.find(v.index() as usize);
         groups.entry(root).or_default().push((v, phase));
     }
@@ -317,10 +424,7 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
         classes.push(EquivClass { repr, members });
     }
     classes.sort_by_key(|c| c.repr.index());
-    stats.classes = classes.len();
-    stats.class_members = classes.iter().map(|c| c.members.len()).sum();
-    stats.sat = solver.stats();
-    (EquivClasses { classes, repr_of }, stats)
+    EquivClasses { classes, repr_of }
 }
 
 /// Buckets `nodes` into candidate equivalence groups keyed by `fp`
@@ -564,18 +668,34 @@ mod tests {
         assert_eq!(classes.equivalent(maj1.var(), maj2.var()), Some(false));
     }
 
-    #[test]
-    fn sweep_counts_retired_activations_and_saved_columns() {
-        // Force at least one disproof (spurious candidate under 1 word of
-        // stimulus is likely across rounds) and check the new counters.
+    /// `f1 = a & b` and the redundant `f2 = (a & b) & (a | b)`, plus eight
+    /// more inputs on an AND chain: ten inputs in all, one more than the
+    /// default stimulus covers exhaustively, so the sweep runs the SAT
+    /// loop. Returns the AIG with `f1` and `f2`.
+    fn sat_loop_fixture() -> (Aig, ALit, ALit) {
         let mut aig = Aig::new();
         let a = aig.add_input("a");
         let b = aig.add_input("b");
         let f1 = aig.and(a, b);
         let a_or_b = aig.or(a, b);
         let f2 = aig.and(f1, a_or_b);
+        let mut chain = a_or_b;
+        for i in 0..8 {
+            let x = aig.add_input(format!("x{i}"));
+            chain = aig.and(chain, x);
+        }
         aig.add_output("f1", f1);
         aig.add_output("f2", f2);
+        aig.add_output("chain", chain);
+        assert!(exhaustive_words(aig.num_inputs(), FraigOptions::default().sim_words).is_none());
+        (aig, f1, f2)
+    }
+
+    #[test]
+    fn sweep_counts_retired_activations_and_saved_columns() {
+        // Force at least one disproof (spurious candidate under 1 word of
+        // stimulus is likely across rounds) and check the new counters.
+        let (aig, f1, f2) = sat_loop_fixture();
         let (classes, stats) = fraig_classes_stats(&aig, &FraigOptions::default());
         assert_eq!(classes.equivalent(f1.var(), f2.var()), Some(false));
         assert_eq!(
@@ -589,15 +709,7 @@ mod tests {
     /// stop the sweep before any query, soundly reporting no classes.
     #[test]
     fn governor_limits_abandon_the_sweep_soundly() {
-        let mut aig = Aig::new();
-        let a = aig.add_input("a");
-        let b = aig.add_input("b");
-        let f1 = aig.and(a, b);
-        let a_or_b = aig.or(a, b);
-        let f2 = aig.and(f1, a_or_b);
-        aig.add_output("f1", f1);
-        aig.add_output("f2", f2);
-
+        let (aig, _, _) = sat_loop_fixture();
         let capped = FraigOptions {
             max_total_conflicts: 0,
             ..Default::default()
@@ -606,6 +718,16 @@ mod tests {
         assert!(classes.is_empty(), "no query may run with a spent cap");
         assert_eq!(stats.sat_calls, 0);
 
+        // The exhaustive path spends no conflicts, but a fired control
+        // block still abandons it.
+        let mut aig = Aig::new();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let f1 = aig.and(a, b);
+        let a_or_b = aig.or(a, b);
+        let f2 = aig.and(f1, a_or_b);
+        aig.add_output("f1", f1);
+        aig.add_output("f2", f2);
         let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let cancelled = FraigOptions {
             ctl: eco_sat::SolveCtl {
@@ -617,6 +739,67 @@ mod tests {
         let (classes, stats) = fraig_classes_stats(&aig, &cancelled);
         assert!(classes.is_empty());
         assert_eq!(stats.sat_calls, 0);
+    }
+
+    /// A random AIG over `inputs` inputs: `ands` AND nodes with random
+    /// (possibly complemented) fanins from everything built so far, and a
+    /// handful of outputs. Few inputs and many nodes make constant,
+    /// equivalent and complementary nodes common.
+    fn random_aig(rng: &mut SplitMix64, inputs: usize, ands: usize) -> Aig {
+        let mut aig = Aig::new();
+        let mut lits = vec![ALit::FALSE];
+        for i in 0..inputs {
+            lits.push(aig.add_input(format!("i{i}")));
+        }
+        for _ in 0..ands {
+            let pick = |rng: &mut SplitMix64| {
+                let l = lits[rng.below(lits.len() as u64) as usize];
+                l.xor_complement(rng.next_u64() & 1 == 1)
+            };
+            let (x, y) = (pick(rng), pick(rng));
+            lits.push(aig.and(x, y));
+        }
+        for k in 0..4 {
+            let l = lits[lits.len() - 1 - rng.below(lits.len() as u64 / 2 + 1) as usize];
+            aig.add_output(format!("o{k}"), l);
+        }
+        aig
+    }
+
+    /// Exhaustive simulation and the SAT loop agree on every small-support
+    /// AIG, including complemented and constant-equivalent members, and
+    /// the exhaustive path issues no SAT query.
+    #[test]
+    fn exhaustive_sweep_matches_the_sat_loop() {
+        let opts = FraigOptions::default();
+        let mut rng = SplitMix64::new(0xf4a1_6e5e);
+        let (mut complemented, mut constant) = (0, 0);
+        for case in 0..200 {
+            let inputs = case % 10;
+            let ands = 4 + rng.below(60) as usize;
+            let aig = random_aig(&mut rng, inputs, ands);
+            let (fast, stats) = fraig_classes_stats(&aig, &opts);
+            assert_eq!(stats.exhaustive, 1, "case {case}");
+            assert_eq!(stats.sat_calls, 0, "case {case}");
+
+            let roots: Vec<ALit> = aig.outputs().iter().map(|o| o.lit).collect();
+            let mut nodes = aig.cone_vars(&roots);
+            if !nodes.contains(&AVar::CONST) {
+                nodes.insert(0, AVar::CONST);
+            }
+            let mut uf = ParityUnionFind::new(aig.len());
+            let sat = sat_sweep(&aig, &roots, &nodes, &opts, &mut uf);
+            assert_eq!(sat.budgeted_out, 0, "case {case}");
+            let slow = materialize(&nodes, &mut uf);
+            assert_eq!(fast.classes, slow.classes, "case {case} ({inputs} inputs)");
+
+            for class in &fast.classes {
+                complemented += class.members.iter().filter(|m| m.1).count();
+                constant += usize::from(class.repr == AVar::CONST);
+            }
+        }
+        assert!(complemented > 0, "no complemented member was exercised");
+        assert!(constant > 0, "no constant-equivalent node was exercised");
     }
 
     /// A deliberately colliding fingerprint must not corrupt candidate

@@ -29,7 +29,9 @@
 # identical. A journal leg then runs the manifest with --journal and
 # again with --resume on the same state directory: the resumed report
 # must replay all 12 jobs and be byte-identical to the uninterrupted
-# one. Cold/warm wall times are recorded in crates/bench/BENCH_batch.json.
+# one. Cold/warm wall times are written to a BENCH_batch.json in the
+# smoke's temporary directory (a single sample; the tracked
+# crates/bench/BENCH_*.json files are left alone).
 #
 # --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
 # through eco-workgen --scale, then runs the release scale harness on
@@ -46,8 +48,8 @@
 # second daemon with --jobs 1 must produce the same bytes as --jobs 4.
 # Both drain paths are proven clean (protocol shutdown and SIGTERM, exit
 # 0, socket file removed, all admitted jobs answered). Cold/warm
-# throughput and p50/p99 round-trip latencies are recorded in
-# crates/bench/BENCH_serve.json.
+# throughput and p50/p99 round-trip latencies are written to a
+# BENCH_serve.json in the smoke's temporary directory.
 #
 # The seq smoke is part of the DEFAULT gate (seconds): it generates
 # a latch-bearing case with eco-workgen --seq, rectifies it through
@@ -56,8 +58,8 @@
 # parses and carries no frame-indexed names, cross-checks the format hub
 # with a byte-fixpoint conversion cycle and a short eco-fuzz --formats
 # round-trip campaign, and records unroll-depth wall times, frames/sec,
-# and patch sizes in crates/bench/BENCH_seq.json. Skip it with
-# --no-seq-smoke.
+# and patch sizes in a BENCH_seq.json in the smoke's temporary
+# directory. Skip it with --no-seq-smoke.
 #
 # The chaos smoke is also part of the DEFAULT gate (seconds): it runs
 # the seeded fault-injection campaign (eco-workgen --chaos-campaign),
@@ -65,8 +67,12 @@
 # kill-mid-stream drill (SIGKILL a real eco-serve daemon, recover with
 # --resume, union of responses must equal the fault-free run, warm
 # restart must hit the durable memo). Recovery wall time, journal
-# replay rate, and store recovery counts are merged into
-# crates/bench/BENCH_chaos.json. Skip it with --no-chaos-smoke.
+# replay rate, and store recovery counts are written to a
+# BENCH_chaos.json in the smoke's temporary directory. Skip it with
+# --no-chaos-smoke.
+#
+# No smoke writes a tracked file: a default gate run leaves `git status`
+# clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -114,14 +120,14 @@ if [ "$chaos_smoke" -eq 1 ]; then
   # oracle), a lost response across the SIGKILL, or a warm restart that
   # misses the durable memo store.
   target/release/eco-workgen --chaos-campaign --out "$chtmp" --seed 1 \
-    --bench-out crates/bench/BENCH_chaos.json -q \
+    --bench-out "$chtmp/BENCH_chaos.json" -q \
     || { echo "chaos smoke: campaign failed"; exit 1; }
   for row in 'chaos/sweep/wall' 'chaos/kill12/recovery_wall' 'chaos/kill12/warm_replay_wall'; do
-    grep -q "\"name\": \"$row\"" crates/bench/BENCH_chaos.json \
-      || { echo "chaos smoke: bench file missing $row"; cat crates/bench/BENCH_chaos.json; exit 1; }
+    grep -q "\"name\": \"$row\"" "$chtmp/BENCH_chaos.json" \
+      || { echo "chaos smoke: bench file missing $row"; cat "$chtmp/BENCH_chaos.json"; exit 1; }
   done
-  grep -q '0 crashes, 0 wrong answers' crates/bench/BENCH_chaos.json \
-    || { echo "chaos smoke: bench file missing oracle note"; cat crates/bench/BENCH_chaos.json; exit 1; }
+  grep -q '0 crashes, 0 wrong answers' "$chtmp/BENCH_chaos.json" \
+    || { echo "chaos smoke: bench file missing oracle note"; cat "$chtmp/BENCH_chaos.json"; exit 1; }
   echo "chaos smoke: ok"
 fi
 
@@ -175,7 +181,7 @@ if [ "$seq_smoke" -eq 1 ]; then
   target/release/eco-fuzz --formats 15 --seed 1 --shrink > /dev/null \
     || { echo "seq smoke: format round-trip campaign failed"; exit 1; }
 
-  cat > crates/bench/BENCH_seq.json <<EOF
+  cat > "$sqtmp/BENCH_seq.json" <<EOF
 {"benches": [
 ${bench_rows%,
 }
@@ -337,7 +343,7 @@ if [ "$batch_smoke" -eq 1 ]; then
     || { echo "batch smoke: --resume did not replay all 12 jobs"; cat "$btmp/stderr.txt"; exit 1; }
 
   # Record cold-vs-warm wall times for the tracked bench file.
-  cat > crates/bench/BENCH_batch.json <<EOF
+  cat > "$btmp/BENCH_batch.json" <<EOF
 {"benches": [
   {"name": "batch/suite12/cold", "samples": 1, "mean_ns": $cold_ns, "median_ns": $cold_ns, "min_ns": $cold_ns, "max_ns": $cold_ns},
   {"name": "batch/suite12/warm", "samples": 1, "mean_ns": $warm_ns, "median_ns": $warm_ns, "min_ns": $warm_ns, "max_ns": $warm_ns}
@@ -498,7 +504,7 @@ if [ "$serve_smoke" -eq 1 ]; then
   warm_p99_ns=$((1000 * $(field "$svtmp/warm_timing.json" p99_us)))
   cold_rps=$(field "$svtmp/cold_timing.json" rps)
   warm_rps=$(field "$svtmp/warm_timing.json" rps)
-  cat > crates/bench/BENCH_serve.json <<EOF
+  cat > "$svtmp/BENCH_serve.json" <<EOF
 {"benches": [
   {"name": "serve/suite12/cold_stream", "samples": 1, "mean_ns": $cold_ns, "median_ns": $cold_ns, "min_ns": $cold_ns, "max_ns": $cold_ns},
   {"name": "serve/suite12/warm_stream", "samples": 1, "mean_ns": $warm_ns, "median_ns": $warm_ns, "min_ns": $warm_ns, "max_ns": $warm_ns},

@@ -158,10 +158,12 @@ fn poisoned_memo_entry_falls_back_to_full_sat_check() {
     common::assert_patched_equals_golden(&units[0].faulty, &units[0].golden, &poisoned_run);
 }
 
-/// Single flight never blocks on a poisoned entry: two duplicate jobs
-/// started together both hit the planted patch, both refute it, and
-/// both recompute without a claim, so neither waits for the other. The
-/// counters match the same two jobs run one after the other.
+/// Single flight never hangs on a poisoned entry: two duplicate jobs
+/// started together may both hit the planted patch and refute it, but
+/// the entry is evicted once and the key claimed again, so one job
+/// recomputes and the other takes the verified recompute as a hit. The
+/// counters match the same two jobs run one after the other, and a later
+/// duplicate hits the verified value instead of the planted one.
 #[test]
 fn refuted_hit_does_not_block_a_concurrent_duplicate() {
     let units = fast_units(2);
@@ -216,10 +218,18 @@ fn refuted_hit_does_not_block_a_concurrent_duplicate() {
             .expect("a duplicate of a refuted entry must finish, not hang");
     }
     let (seq, par) = (sequential.stats(), concurrent.stats());
-    assert_eq!(par.fallbacks, 2, "both duplicates refute the planted patch");
+    assert_eq!(par.fallbacks, 1, "the planted patch is evicted once");
+    assert_eq!(par.hits, 1, "the second duplicate hits the recompute");
     assert_eq!(
         (par.hits, par.misses, par.insertions, par.fallbacks),
         (seq.hits, seq.misses, seq.insertions, seq.fallbacks)
+    );
+    run("dup-c", &concurrent);
+    let later = concurrent.stats();
+    assert_eq!(
+        (later.hits, later.misses, later.fallbacks),
+        (par.hits + 1, par.misses, 1),
+        "a later duplicate hits the verified recompute"
     );
 }
 

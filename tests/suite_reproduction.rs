@@ -4,31 +4,48 @@
 //!
 //! The full 20-unit sweep lives in `cargo run -p eco-bench --bin table2`;
 //! this test pins the *shape* on a fast subset so regressions surface in
-//! `cargo test`.
+//! `cargo test`, and pins each fast unit's exact (cost, size) so a change
+//! that makes a patch costlier or larger fails here.
 
 mod common;
 
 use eco::core::{EcoEngine, EcoOptions};
 use eco::workgen::contest_suite;
 
-fn fast_subset() -> Vec<&'static str> {
-    vec![
-        "unit01", "unit02", "unit03", "unit04", "unit06", "unit10", "unit12", "unit15",
-    ]
-}
+/// The fast subset with each unit's pinned (cost, size) under the default
+/// options.
+const FAST_SUBSET: [(&str, u64, usize); 8] = [
+    ("unit01", 2, 3),
+    ("unit02", 10, 0),
+    ("unit03", 33, 0),
+    ("unit04", 33, 1),
+    ("unit06", 10, 4),
+    ("unit10", 18, 9),
+    ("unit12", 36, 0),
+    ("unit15", 8, 1),
+];
 
 #[test]
 fn suite_units_patch_and_verify() {
+    let mut seen = 0;
     for unit in contest_suite() {
-        if !fast_subset().contains(&unit.spec.name.as_str()) {
+        let name = unit.spec.name.as_str();
+        let Some(&(_, cost, size)) = FAST_SUBSET.iter().find(|(n, ..)| *n == name) else {
             continue;
-        }
+        };
         let inst = unit.instance().expect("valid instance");
         let result = EcoEngine::new(inst, EcoOptions::default())
             .run()
-            .unwrap_or_else(|e| panic!("{}: {e}", unit.spec.name));
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &result);
+        assert_eq!(
+            (result.cost, result.size),
+            (cost, size),
+            "{name} (cost, size)"
+        );
+        seen += 1;
     }
+    assert_eq!(seen, FAST_SUBSET.len(), "every pinned unit is in the suite");
 }
 
 #[test]
